@@ -10,7 +10,7 @@ from .losses import ContrastiveBatch, LossResult, ZeroNormalizerError, \
     build_positive_index, grad_check, loss_oracle, ssc_e_loss, ssc_loss
 from .pseudo import DecisionKind, EntropyGate, GateDegenerateError, \
     PrototypeBank, PseudoLabelDecision, adaptive_weight, assign_pseudo_labels, \
-    class_probabilities, compute_e_min
+    class_probabilities
 from .trainer import ConfigError, NonFiniteLossError, StepMetrics, TrainConfig, \
     TrainState, assemble_batch, cosine_lr, init_train_state, train, train_step
 from .checkpoint import load_checkpoint, save_checkpoint

@@ -17,8 +17,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .vecmath import unit_normalize_rows
-
 __all__ = [
     "SPLIT_TAGS",
     "AugmentationPolicy",
@@ -152,7 +150,8 @@ def generate_gaussian_clusters(num_classes: int, dim: int, per_class: int,
     if separation <= 0:
         raise ValueError(f"separation must be > 0, got {separation}")
     rng = np.random.default_rng(seed)
-    means = unit_normalize_rows(rng.normal(size=(num_classes, dim))) * separation
+    raw = rng.normal(size=(num_classes, dim))
+    means = raw / np.linalg.norm(raw, axis=1)[:, None] * separation
     blocks = [means[c] + rng.normal(0.0, cluster_sigma, size=(per_class, dim))
               for c in range(num_classes)]
     features = np.vstack(blocks)

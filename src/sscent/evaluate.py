@@ -40,11 +40,7 @@ def evaluate(encoder, bank: PrototypeBank, features, labels, t_prime: float) -> 
     if labels.shape != (features.shape[0],):
         raise ValueError("labels must align with feature rows")
     z, _ = encoder.forward(features)
-    scores = bank.scores_by_class(z) / float(t_prime)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    probs = exps / exps.sum(axis=1, keepdims=True)
-    predictions = np.argmax(probs, axis=1)
+    predictions = np.argmax(class_probabilities(z, bank, t_prime), axis=1)
     return float(np.mean(predictions == labels))
 
 
@@ -99,7 +95,7 @@ def build_report(encoder, bank: PrototypeBank, dataset: Dataset,
     if unlabeled.shape[0] == 0:
         raise ValueError("dataset has no unlabeled rows to report on")
     z, _ = encoder.forward(unlabeled)
-    probs = [class_probabilities(row, bank, t_prime) for row in z]
+    probs = class_probabilities(z, bank, t_prime)
     decisions = assign_pseudo_labels(probs, gate, lambda_reject,
                                      entropy_gate_enabled)
     coverage, precision = pseudo_metrics(decisions, dataset.unlabeled_true_labels())

@@ -16,26 +16,39 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
-
-from .vecmath import as_finite_array, entropy, stable_softmax, validate_prob_vector
 
 __all__ = [
     "DecisionKind",
     "EntropyGate",
     "GateDegenerateError",
+    "PROB_SUM_TOL",
     "PROTOTYPE_NORM_TOL",
     "PrototypeBank",
     "PseudoLabelDecision",
     "adaptive_weight",
     "assign_pseudo_labels",
     "class_probabilities",
-    "compute_e_min",
 ]
 
 PROTOTYPE_NORM_TOL = 1e-6
+
+# Tolerance on each probability row's sum == 1.
+PROB_SUM_TOL = 1e-9
+
+
+def as_finite_array(values, name: str) -> np.ndarray:
+    """Convert to a float64 array, rejecting NaN/Inf entries.
+
+    The error for a matrix names its first bad row.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        where = f" row {int(np.argmin(finite.all(axis=1)))}" if arr.ndim == 2 else ""
+        raise ValueError(f"{name}{where} must contain only finite values")
+    return arr
 
 
 class GateDegenerateError(ValueError):
@@ -89,10 +102,15 @@ class PrototypeBank:
         return cls(prototypes=raw, class_ids=np.arange(num_classes))
 
     def scores_by_class(self, embeddings: np.ndarray) -> np.ndarray:
-        """Cosine scores against each prototype, columns ordered by class id."""
-        scores = np.atleast_2d(embeddings) @ self.prototypes.T
-        order = np.argsort(self.class_ids)
-        return scores[:, order]
+        """Cosine scores against each prototype, columns ordered by class id.
+
+        Each row is its own (1, d) @ (d, K) product, so its bits do not
+        depend on the rows scored with it; a single (n, d) @ (d, K) product
+        can differ in the last place.
+        """
+        z = np.atleast_2d(embeddings)
+        scores = (z[:, None, :] @ self.prototypes.T)[:, 0, :]
+        return scores[:, np.argsort(self.class_ids)]
 
 
 @dataclass(frozen=True)
@@ -147,110 +165,107 @@ class PseudoLabelDecision:
 
 
 def class_probabilities(z_w, bank: PrototypeBank, t_prime: float) -> np.ndarray:
-    """Class probabilities for one unit embedding: softmax over prototype cosines.
+    """Class probabilities for an (n, d) block of unit embeddings.
 
-    The returned vector is indexed by class id (not by prototype row).
+    Row-wise softmax over the prototype cosines at temperature t_prime. The
+    (n, K) result has its columns indexed by class id (not by prototype
+    row), and each row is bit-identical to that row passed on its own.
     """
     z = as_finite_array(z_w, "embedding")
-    if z.shape != (bank.dim,):
-        raise ValueError(f"embedding has shape {z.shape}, prototypes expect ({bank.dim},)")
-    norm = float(np.linalg.norm(z))
-    if abs(norm - 1.0) > PROTOTYPE_NORM_TOL:
-        raise ValueError(f"embedding must be unit norm (got {norm})")
-    scores = bank.scores_by_class(z)[0]
-    return stable_softmax(scores, t_prime)
+    if z.ndim != 2 or z.shape[1] != bank.dim:
+        raise ValueError(f"embeddings have shape {z.shape}, prototypes expect (n, {bank.dim})")
+    norms = np.linalg.norm(z, axis=1)
+    off = np.abs(norms - 1.0) > PROTOTYPE_NORM_TOL
+    if off.any():
+        row = int(np.argmax(off))
+        raise ValueError(f"embedding row {row} must be unit norm (got {float(norms[row])})")
+    if not np.isfinite(t_prime) or t_prime <= 0:
+        raise ValueError(f"temperature must be positive, got {t_prime}")
+    scaled = bank.scores_by_class(z) / float(t_prime)
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError("temperature too small for the given scores")
+    exps = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+    return exps / exps.sum(axis=1, keepdims=True)
 
 
-def compute_e_min(decisions_pass1: Iterable[tuple[float, float]],
-                  tau: float) -> Optional[float]:
-    """Largest entropy among confident samples, or None when there are none.
-
-    decisions_pass1 holds one (max_prob, entropy) pair per sample; a sample
-    is confident when max_prob > tau (strict).
-    """
-    e_min: Optional[float] = None
-    for max_prob, h in decisions_pass1:
-        if max_prob > tau and (e_min is None or h > e_min):
-            e_min = h
-    return e_min
-
-
-def adaptive_weight(h_i: float, e_min: float, h_base: float, w_min: float) -> float:
+def adaptive_weight(h_i, e_min: float, h_base: float, w_min: float):
     """Confidence weight, linear in entropy between e_min (-> 1) and h_base (-> w_min).
 
-    h_i is clamped into [e_min, h_base]; the boundary values are returned
-    exactly. Raises GateDegenerateError when e_min >= h_base, where the
-    interpolation is undefined.
+    h_i is a scalar (a float is returned) or an array (an array of the same
+    shape is returned). It is clamped into [e_min, h_base]; the boundary
+    values are returned exactly. Raises GateDegenerateError when
+    e_min >= h_base, where the interpolation is undefined.
     """
     if e_min >= h_base:
         raise GateDegenerateError(
             f"entropy pivot {e_min} is not below the gate threshold {h_base}")
-    if h_i <= e_min:
-        return 1.0
-    if h_i >= h_base:
-        return float(w_min)
-    scale = (h_base - h_i) / (h_base - e_min)
-    return float(w_min + (1.0 - w_min) * scale)
+    h = np.asarray(h_i, dtype=np.float64)
+    scale = (h_base - h) / (h_base - e_min)
+    w = np.where(h <= e_min, 1.0,
+                 np.where(h >= h_base, float(w_min), w_min + (1.0 - w_min) * scale))
+    return float(w) if w.ndim == 0 else w
+
+
+# decision kinds are coded 0, 1, 2 (indices into this tuple) while the block is whole-array
+_KINDS = (DecisionKind.CONFIDENT, DecisionKind.ENTROPY_SELECTED, DecisionKind.REJECTED)
 
 
 def assign_pseudo_labels(probs, gate: EntropyGate, lambda_reject: float,
                          entropy_gate_enabled: bool) -> list[PseudoLabelDecision]:
-    """Turn per-sample class probabilities into pseudo-label decisions.
+    """Turn an (n, K) block of class probabilities into pseudo-label decisions.
 
-    Pass 1 accepts samples whose top probability strictly exceeds gate.tau
-    (weight 1) and records the largest entropy among them (e_min). Pass 2,
-    when the gate is enabled and e_min exists:
+    Samples whose top probability strictly exceeds gate.tau are accepted
+    with weight 1; the largest entropy among them is e_min. When the gate
+    is enabled and e_min exists, the remaining samples are considered:
 
-    * e_min < h_base: remaining samples with entropy below h_base are
-      selected with the argmax class; weight 1 when entropy <= e_min, else
-      the adaptive interpolated weight.
+    * e_min < h_base: samples with entropy below h_base are selected with
+      the argmax class; weight 1 when entropy <= e_min, else the adaptive
+      interpolated weight.
     * e_min >= h_base (degenerate gate): samples with entropy <= e_min are
       selected with weight 1; the interpolation branch is skipped.
 
     Everything else is rejected with a unique label num_classes + position
     and weight lambda_reject. Argmax ties break toward the lowest class
-    index; output order matches input order.
+    index; output order matches input order. Entropies are in nats with
+    0 * log 0 := 0; a one-hot row's entropy is -0.0.
     """
     if not 0.0 <= lambda_reject <= 1.0:
         raise ValueError(f"lambda_reject must be in [0, 1], got {lambda_reject}")
-    mat = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    if mat.shape[1] != gate.num_classes:
+    mat = as_finite_array(np.atleast_2d(probs), "probabilities")
+    if mat.ndim != 2 or mat.shape[1] != gate.num_classes:
         raise ValueError(
-            f"probability rows have {mat.shape[1]} classes, gate expects {gate.num_classes}")
-    for row in mat:
-        validate_prob_vector(row)
+            f"probabilities have shape {mat.shape}, gate expects (n, {gate.num_classes})")
+    sums = mat.sum(axis=1)
+    negative = (mat < 0.0).any(axis=1)
+    bad = negative | (np.abs(sums - 1.0) > PROB_SUM_TOL)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if negative[row]:
+            raise ValueError(f"probabilities row {row} must be non-negative")
+        raise ValueError(f"probabilities row {row} must sum to 1 (got {float(sums[row])})")
 
     n = mat.shape[0]
     max_prob = mat.max(axis=1)
-    argmax = mat.argmax(axis=1)  # first maximum: lowest class index on ties
-    entropies = np.array([entropy(row) for row in mat])
+    labels = mat.argmax(axis=1)  # first maximum: lowest class index on ties
+    terms = np.where(mat > 0.0, mat * np.log(np.where(mat > 0.0, mat, 1.0)), 0.0)
+    entropies = -terms.sum(axis=1)
+    # clamp round-off below zero; np.maximum would turn a one-hot row's -0.0 into 0.0
+    entropies = np.where(entropies < 0.0, 0.0, entropies)
     confident = max_prob > gate.tau
-    e_min = compute_e_min(zip(max_prob, entropies), gate.tau)
-
-    decisions = []
-    for i in range(n):
-        h = float(entropies[i])
-        mp = float(max_prob[i])
-        if confident[i]:
-            decisions.append(PseudoLabelDecision(i, DecisionKind.CONFIDENT,
-                                                 int(argmax[i]), 1.0, h, mp))
-            continue
-        selected = False
-        weight = lambda_reject
-        if entropy_gate_enabled and e_min is not None:
-            if e_min < gate.h_base:
-                if h < gate.h_base:
-                    selected = True
-                    weight = 1.0 if h <= e_min else adaptive_weight(
-                        h, e_min, gate.h_base, gate.w_min)
-            elif h <= e_min:
-                selected = True
-                weight = 1.0
-        if selected:
-            decisions.append(PseudoLabelDecision(i, DecisionKind.ENTROPY_SELECTED,
-                                                 int(argmax[i]), float(weight), h, mp))
+    kinds = np.where(confident, 0, 2)
+    weights = np.where(confident, 1.0, float(lambda_reject))
+    if entropy_gate_enabled and confident.any():
+        e_min = np.max(entropies, where=confident, initial=-np.inf)
+        if e_min < gate.h_base:
+            selected = ~confident & (entropies < gate.h_base)
+            gated = adaptive_weight(entropies, e_min, gate.h_base, gate.w_min)
         else:
-            decisions.append(PseudoLabelDecision(i, DecisionKind.REJECTED,
-                                                 gate.num_classes + i,
-                                                 float(lambda_reject), h, mp))
-    return decisions
+            selected = ~confident & (entropies <= e_min)
+            gated = 1.0
+        kinds[selected] = 1
+        weights = np.where(selected, gated, weights)
+    labels = np.where(kinds == 2, gate.num_classes + np.arange(n), labels)
+    return [PseudoLabelDecision(i, _KINDS[k], label, w, h, p)
+            for i, (k, label, w, h, p) in enumerate(zip(
+                kinds.tolist(), labels.tolist(), weights.tolist(),
+                entropies.tolist(), max_prob.tolist()))]

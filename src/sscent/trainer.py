@@ -111,20 +111,12 @@ class TrainConfig:
             raise ConfigError("temperatures must be > 0")
         if self.eta0 < 0:
             raise ConfigError(f"eta0 must be >= 0, got {self.eta0}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 0 or self.steps_per_epoch < 1:
             raise ConfigError("epochs must be >= 0 and steps_per_epoch >= 1")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.eval_every < 0 or self.checkpoint_every < 0:
             raise ConfigError("eval_every and checkpoint_every must be >= 0")
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
-        if not 0.0 < self.tau_ent <= 1.0:
-            raise ConfigError(f"tau_ent must be in (0, 1], got {self.tau_ent}")
-        if not 0.0 <= self.w_min <= 1.0:
-            raise ConfigError(f"w_min must be in [0, 1], got {self.w_min}")
         if not 0.0 <= self.lambda_reject <= 1.0:
             raise ConfigError(f"lambda_reject must be in [0, 1], got {self.lambda_reject}")
         if not 0.0 < self.gate_cutoff_fraction <= 1.0:
@@ -137,6 +129,8 @@ class TrainConfig:
                           embed_dim=self.embed_dim, activation=self.activation)
             AugmentationPolicy(self.weak_sigma, self.strong_sigma,
                                self.strong_dropout)
+            EntropyGate.for_classes(2, self.tau, self.tau_ent, self.w_min)
+            OptimizerState(self.momentum, 0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -418,7 +412,7 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     z_s1, cache_s1 = state.encoder.forward(strong1)
     z_s2, cache_s2 = state.encoder.forward(strong2)
 
-    probs = [class_probabilities(z, state.bank, config.t_prime) for z in z_weak]
+    probs = class_probabilities(z_weak, state.bank, config.t_prime)
     decisions = assign_pseudo_labels(probs, gate, config.lambda_reject,
                                      entropy_gate_enabled)
     labels_u = np.array([d.assigned_label for d in decisions], dtype=np.int64)

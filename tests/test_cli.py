@@ -496,9 +496,10 @@ def test_gate_sim_bad_header_is_io_error(tmp_path, capsys):
 
 def test_gate_sim_invalid_probability_row_fails_validation(tmp_path, capsys):
     src = tmp_path / "notprob.csv"
-    src.write_text("p_0,p_1,p_2\n0.9,0.9,0.1\n")
+    src.write_text("p_0,p_1,p_2\n0.5,0.3,0.2\n0.9,0.9,0.1\n")
     rc = main(["gate-sim", "--input", str(src)])
     assert rc == 1
+    assert "probabilities row 1 must sum to 1" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- compare

@@ -13,9 +13,7 @@ from sscent import (
     adaptive_weight,
     assign_pseudo_labels,
     class_probabilities,
-    compute_e_min,
 )
-from sscent.vecmath import entropy
 
 from conftest import unit_rows
 
@@ -123,9 +121,22 @@ def test_gate_parameter_domains():
 
 def test_class_probabilities_two_orthogonal_prototypes():
     bank = PrototypeBank(prototypes=np.eye(2), class_ids=np.arange(2))
-    probs = class_probabilities(np.array([1.0, 0.0]), bank, t_prime=1.0)
+    probs = class_probabilities(np.array([[1.0, 0.0]]), bank, t_prime=1.0)
+    assert probs.shape == (1, 2)
+    # softmax([1, 0]) at T=1, computed at 50-digit precision
     expected = np.array([0.7310585786300049, 0.2689414213699951])
-    assert np.max(np.abs(probs - expected)) < 1e-15
+    assert np.max(np.abs(probs[0] - expected)) < 1e-15
+
+
+def test_class_probabilities_two_logits_frozen():
+    # a two-row block: scores [1, 0] and [0, 1] at T' = 1 give the frozen
+    # softmax([1, 0]) values, the second row in reverse order
+    bank = PrototypeBank(prototypes=np.eye(2), class_ids=np.arange(2))
+    probs = class_probabilities(np.eye(2), bank, t_prime=1.0)
+    assert probs.shape == (2, 2)
+    expected = np.array([0.7310585786300049, 0.2689414213699951])
+    assert np.max(np.abs(probs[0] - expected)) < 1e-15
+    assert np.max(np.abs(probs[1] - expected[::-1])) < 1e-15
 
 
 def test_class_probabilities_frozen_three_class():
@@ -135,25 +146,66 @@ def test_class_probabilities_frozen_three_class():
     bank = PrototypeBank(prototypes=np.eye(3), class_ids=np.arange(3))
     z = (np.array([1.0, 0.0, 0.0]) + 0.5 * np.array([0.0, 1.0, 0.0]))
     z = z / np.sqrt(1.25)
-    probs = class_probabilities(z, bank, t_prime=0.1)
+    probs = class_probabilities(z[None, :], bank, t_prime=0.1)[0]
     expected = np.array([0.9885785824697357,
                          0.01129242538602786,
                          0.0001289921442364551])
     assert np.max(np.abs(probs - expected) / expected) < 1e-12
 
 
+def test_class_probabilities_sharp_temperature_frozen():
+    # z = e0 against prototypes with cosines exactly (0.9, 0.1, 0.0), T' = 0.1:
+    # softmax([0.9, 0.1, 0.0] / 0.1), 50-digit reference
+    bank = PrototypeBank(prototypes=np.array([
+        [0.9, math.sqrt(0.19), 0.0, 0.0],
+        [0.1, 0.0, math.sqrt(0.99), 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ]), class_ids=np.arange(3))
+    probs = class_probabilities(np.array([[1.0, 0.0, 0.0, 0.0]]), bank, t_prime=0.1)[0]
+    expected = np.array([0.999541338035342,
+                         0.00033530876395452874,
+                         0.0001233532007034791])
+    assert np.max(np.abs(probs - expected) / expected) < 1e-12
+
+
+def test_class_probabilities_extreme_scores_finite():
+    # cosines (1, 0, -1) at T' = 1e-3 are scaled scores (1000, 0, -1000)
+    bank = PrototypeBank(prototypes=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
+                         class_ids=np.arange(3))
+    probs = class_probabilities(np.array([[1.0, 0.0]]), bank, t_prime=1e-3)
+    assert np.all(np.isfinite(probs))
+    assert abs(probs.sum() - 1.0) < 1e-12
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="temperature too small"):
+        class_probabilities(np.array([[1.0, 0.0]]), bank, t_prime=1e-310)
+
+
+def test_class_probabilities_bad_temperature_rejected():
+    bank = PrototypeBank(prototypes=np.eye(2), class_ids=np.arange(2))
+    for t in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            class_probabilities(np.array([[1.0, 0.0]]), bank, t_prime=t)
+
+
 def test_class_probabilities_identical_prototypes_uniform():
     p = np.array([0.6, 0.8])
     bank = PrototypeBank(prototypes=np.stack([p, p, p]),
                          class_ids=np.array([2, 0, 1]))
-    probs = class_probabilities(np.array([0.0, 1.0]), bank, t_prime=0.1)
+    probs = class_probabilities(np.array([[0.0, 1.0]]), bank, t_prime=0.1)
+    assert np.max(np.abs(probs - 1.0 / 3.0)) < 1e-15
+
+
+def test_class_probabilities_constant_scores_uniform():
+    # distinct prototypes, each at the same cosine 1/sqrt(3) to z, T' = 0.2
+    bank = PrototypeBank(prototypes=np.eye(3), class_ids=np.arange(3))
+    z = np.full((1, 3), 1.0 / math.sqrt(3.0))
+    probs = class_probabilities(z, bank, t_prime=0.2)
     assert np.max(np.abs(probs - 1.0 / 3.0)) < 1e-15
 
 
 def test_class_probabilities_respects_class_id_order():
     bank = PrototypeBank(prototypes=np.eye(2)[::-1].copy(),
                          class_ids=np.array([1, 0]))
-    probs = class_probabilities(np.array([1.0, 0.0]), bank, t_prime=1.0)
+    probs = class_probabilities(np.array([[1.0, 0.0]]), bank, t_prime=1.0)[0]
     # class 0's prototype is e0 (stored in row 1), so class 0 wins
     assert probs[0] > probs[1]
 
@@ -161,30 +213,43 @@ def test_class_probabilities_respects_class_id_order():
 def test_class_probabilities_input_validation():
     bank = PrototypeBank(prototypes=np.eye(3), class_ids=np.arange(3))
     with pytest.raises(ValueError):
-        class_probabilities(np.array([1.0, 0.0]), bank, t_prime=1.0)
+        class_probabilities(np.array([[1.0, 0.0]]), bank, t_prime=1.0)
     with pytest.raises(ValueError):
-        class_probabilities(np.array([2.0, 0.0, 0.0]), bank, t_prime=1.0)
+        class_probabilities(np.array([[2.0, 0.0, 0.0]]), bank, t_prime=1.0)
     with pytest.raises(ValueError):
-        class_probabilities(np.array([1.0, 0.0, 0.0]), bank, t_prime=0.0)
+        class_probabilities(np.array([[1.0, 0.0, 0.0]]), bank, t_prime=0.0)
+    # a single 1-d embedding is not an (n, d) block
+    with pytest.raises(ValueError, match="shape"):
+        class_probabilities(np.array([1.0, 0.0, 0.0]), bank, t_prime=1.0)
+
+
+def test_class_probabilities_errors_name_the_bad_row():
+    bank = PrototypeBank(prototypes=np.eye(3), class_ids=np.arange(3))
+    z = np.eye(3)
+    z[1] *= 2.0
+    with pytest.raises(ValueError, match=r"embedding row 1 must be unit norm \(got 2\.0\)"):
+        class_probabilities(z, bank, t_prime=1.0)
+    z = np.eye(3)
+    z[2, 0] = np.nan
+    with pytest.raises(ValueError, match="embedding row 2 must contain only finite values"):
+        class_probabilities(z, bank, t_prime=1.0)
+
+
+@pytest.mark.parametrize("n", [56, 448])
+def test_class_probabilities_rows_independent_of_batch(n):
+    # desk and paper-shaped weak-view blocks (muB rows, 16-dim embeddings):
+    # every row must carry the same bits as when scored alone, which a
+    # single (n, d) @ (d, K) product does not guarantee
+    rng = np.random.default_rng(n)
+    bank = PrototypeBank.random(3, 16, rng)
+    z = unit_rows(rng, n, 16)
+    block = class_probabilities(z, bank, t_prime=0.1)
+    for i in range(n):
+        assert np.array_equal(block[i], class_probabilities(z[i:i + 1], bank, 0.1)[0])
 
 
 # ---------------------------------------------------------------------------
-# e_min and the adaptive weight
-
-
-def test_compute_e_min_takes_max_over_confident():
-    pairs = [(0.99, 0.1), (0.98, 0.3), (0.97, 0.2), (0.50, 9.9)]
-    assert compute_e_min(pairs, tau=0.95) == 0.3
-
-
-def test_compute_e_min_none_when_no_confident():
-    assert compute_e_min([(0.5, 1.0), (0.6, 0.9)], tau=0.95) is None
-    assert compute_e_min([], tau=0.95) is None
-
-
-def test_compute_e_min_threshold_is_strict():
-    assert compute_e_min([(0.95, 0.4)], tau=0.95) is None
-    assert compute_e_min([(0.9500001, 0.4)], tau=0.95) == 0.4
+# the adaptive weight
 
 
 def test_adaptive_weight_boundaries_exact():
@@ -216,13 +281,58 @@ def test_adaptive_weight_monotone_sweep():
     assert all(0.2 <= w <= 1.0 for w in ws)
 
 
+def test_adaptive_weight_array_matches_scalar():
+    e_min, h_base, w_min = 0.2, 1.1, 0.25
+    hs = np.concatenate([np.linspace(0.0, 1.4, 333), [e_min, h_base]])
+    ws = adaptive_weight(hs, e_min, h_base, w_min)
+    assert isinstance(ws, np.ndarray) and ws.shape == hs.shape
+    assert ws.tolist() == [adaptive_weight(float(h), e_min, h_base, w_min) for h in hs]
+    assert ws[-2] == 1.0 and ws[-1] == w_min
+    assert type(adaptive_weight(0.5, e_min, h_base, w_min)) is float
+
+
 # ---------------------------------------------------------------------------
 # full assignment
 
 
+def entropies_of(probs):
+    gate = EntropyGate.for_classes(num_classes=np.shape(probs)[1], tau=1.0,
+                                   tau_ent=1.0)
+    return [d.entropy for d in assign_pseudo_labels(probs, gate, 0.2, False)]
+
+
 def test_fixture_entropies_match_reference():
-    for row, expected in zip(FIXTURE_PROBS, FIXTURE_ENTROPIES):
-        assert abs(entropy(row) - expected) < 1e-12
+    for h, expected in zip(entropies_of(FIXTURE_PROBS), FIXTURE_ENTROPIES):
+        assert abs(h - expected) < 1e-12
+
+
+def test_entropy_uniform_is_log_c():
+    for c in (2, 5, 10):
+        (h,) = entropies_of(np.full((1, c), 1.0 / c))
+        assert abs(h - math.log(c)) < 1e-12
+
+
+def test_entropy_one_hot_is_negative_zero():
+    (h,) = entropies_of(np.array([[1.0, 0.0, 0.0, 0.0]]))
+    assert h == 0.0
+    # -0.0 is what gate-sim prints for a one-hot row; keep the bits
+    assert math.copysign(1.0, h) == -1.0
+
+
+def test_entropy_half_half_with_zeros():
+    (h,) = entropies_of(np.array([[0.5, 0.5, 0.0, 0.0]]))
+    assert abs(h - math.log(2)) < 1e-12
+
+
+def test_entropy_bounds_and_permutation_invariance():
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        c = int(rng.integers(2, 9))
+        p = rng.dirichlet(np.ones(c), size=4)
+        hs = entropies_of(p)
+        assert all(0.0 <= h <= math.log(c) + 1e-12 for h in hs)
+        permuted = entropies_of(p[:, rng.permutation(c)])
+        assert max(abs(a - b) for a, b in zip(hs, permuted)) < 1e-14
 
 
 def test_assign_gate_on_full_decision_table():
@@ -284,9 +394,9 @@ def test_assign_degenerate_e_min_keeps_low_entropy_samples():
         [1 / 3, 1 / 3, 1 / 3],  # h = log 3 > e_min -> rejected
     ])
     gate = EntropyGate.for_classes(num_classes=3, tau=0.45, tau_ent=0.6)
-    assert entropy(probs[0]) >= gate.h_base  # degenerate premise
     decisions = assign_pseudo_labels(probs, gate, lambda_reject=0.2,
                                      entropy_gate_enabled=True)
+    assert decisions[0].entropy >= gate.h_base  # degenerate premise
     assert decisions[0].kind == DecisionKind.CONFIDENT
     assert decisions[1].kind == DecisionKind.ENTROPY_SELECTED
     assert decisions[1].weight == 1.0
@@ -315,6 +425,21 @@ def test_assign_validates_inputs():
     with pytest.raises(ValueError):
         assign_pseudo_labels(np.array([[0.5, 0.5]]), gate,
                              lambda_reject=0.2, entropy_gate_enabled=True)
+
+
+def test_assign_rejects_bad_probability_rows_by_index():
+    gate = EntropyGate.for_classes(num_classes=2, tau=0.9, tau_ent=0.4)
+    good = [0.3, 0.7]
+    cases = [
+        ([0.5, 0.6], r"row 1 must sum to 1 \(got 1\.1\)"),
+        ([-0.1, 1.1], "row 1 must be non-negative"),
+        ([np.nan, 1.0], "row 1 must contain only finite values"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            assign_pseudo_labels(np.array([good, bad, good]), gate, 0.2, True)
+    # a row summing to 1 within 1e-9 passes
+    assign_pseudo_labels(np.array([good, [0.3, 0.7 + 5e-10]]), gate, 0.2, True)
 
 
 def test_gate_on_selection_is_superset_of_gate_off():
@@ -381,7 +506,66 @@ def test_sharper_temperature_concentrates_probability():
     rng = np.random.default_rng(24)
     bank = PrototypeBank.random(4, 6, rng)
     for _ in range(50):
-        z = unit_rows(rng, 1, 6)[0]
+        z = unit_rows(rng, 1, 6)
         sharp = class_probabilities(z, bank, t_prime=0.05)
         soft = class_probabilities(z, bank, t_prime=0.5)
         assert sharp.max() >= soft.max() - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# per-row reference gate
+
+
+def per_row_oracle(probs, gate, lambda_reject, entropy_gate_enabled):
+    """The pseudo-labeling rule applied one row at a time: the slow
+    reference for the whole-array assignment. Each row's entropy is summed
+    by numpy, as the batched path does, so decisions agree bit for bit."""
+    rows = [[float(p) for p in row] for row in probs]
+    entropies = []
+    for row in np.asarray(probs):
+        terms = np.where(row > 0.0, row * np.log(np.where(row > 0.0, row, 1.0)), 0.0)
+        entropies.append(max(float(-terms.sum()), 0.0))  # max keeps -0.0
+    confident = [max(row) > gate.tau for row in rows]
+    e_min = None
+    for c, h in zip(confident, entropies):
+        if c and (e_min is None or h > e_min):
+            e_min = h
+    out = []
+    for i, (row, h, c) in enumerate(zip(rows, entropies, confident)):
+        mp = max(row)
+        label = row.index(mp)
+        if c:
+            out.append((DecisionKind.CONFIDENT, label, 1.0))
+            continue
+        if entropy_gate_enabled and e_min is not None:
+            if e_min < gate.h_base and h < gate.h_base:
+                out.append((DecisionKind.ENTROPY_SELECTED, label,
+                            1.0 if h <= e_min else adaptive_weight(
+                                h, e_min, gate.h_base, gate.w_min)))
+                continue
+            if e_min >= gate.h_base and h <= e_min:
+                out.append((DecisionKind.ENTROPY_SELECTED, label, 1.0))
+                continue
+        out.append((DecisionKind.REJECTED, gate.num_classes + i, float(lambda_reject)))
+    return out, entropies
+
+
+def test_assignment_matches_per_row_oracle():
+    rng = np.random.default_rng(25)
+    for trial in range(300):
+        c = int(rng.integers(2, 7))
+        probs = rng.dirichlet(np.full(c, float(rng.uniform(0.2, 2.0))),
+                              size=int(rng.integers(1, 40)))
+        probs[rng.random(len(probs)) < 0.1] = np.eye(c)[0]  # one-hot rows
+        gate = EntropyGate.for_classes(num_classes=c,
+                                       tau=float(rng.uniform(0.3, 1.0)),
+                                       tau_ent=float(rng.uniform(0.05, 1.0)),
+                                       w_min=float(rng.uniform(0.0, 1.0)))
+        enabled = bool(trial % 4)
+        decisions = assign_pseudo_labels(probs, gate, 0.2, enabled)
+        expected, entropies = per_row_oracle(probs, gate, 0.2, enabled)
+        assert [(d.kind, d.assigned_label, d.weight) for d in decisions] == expected
+        # bit-identical entropies, including the sign of a one-hot row's zero
+        for d, h in zip(decisions, entropies):
+            assert (d.entropy, math.copysign(1.0, d.entropy)) == (h, math.copysign(1.0, h))
+        assert [d.max_prob for d in decisions] == probs.max(axis=1).tolist()
