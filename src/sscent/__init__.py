@@ -7,7 +7,7 @@ from .encoder import EncoderConfig, MlpEncoder, OptimizerState, \
 from .evaluate import EvalReport, build_report, evaluate, pseudo_metrics, \
     weight_histogram
 from .losses import ContrastiveBatch, LossResult, ZeroNormalizerError, \
-    build_positive_index, grad_check, loss_oracle, ssc_e_loss, ssc_loss
+    grad_check, loss_oracle, ssc_e_loss, ssc_loss
 from .pseudo import DecisionKind, EntropyGate, GateDegenerateError, \
     PrototypeBank, PseudoLabelDecision, adaptive_weight, assign_pseudo_labels, \
     class_probabilities

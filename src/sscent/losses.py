@@ -37,7 +37,6 @@ __all__ = [
     "ContrastiveBatch",
     "LossResult",
     "ZeroNormalizerError",
-    "build_positive_index",
     "grad_check",
     "loss_oracle",
     "ssc_e_loss",
@@ -115,14 +114,6 @@ class LossResult:
     anchor_count: int  # anchors with a non-empty positive set that contributed
 
 
-def build_positive_index(labels) -> list[np.ndarray]:
-    """P(i): sorted indices j != i with labels[j] == labels[i]."""
-    y = np.asarray(labels)
-    same = y[:, None] == y[None, :]
-    np.fill_diagonal(same, False)
-    return [np.flatnonzero(row) for row in same]
-
-
 def _check_variant(variant: str) -> None:
     if variant not in _VARIANTS:
         raise ValueError(f"unknown loss variant {variant!r}, expected one of {_VARIANTS}")
@@ -130,23 +121,30 @@ def _check_variant(variant: str) -> None:
 
 def _pair_weights(labels, weights, anchor_mask, variant):
     """Per-pair weight matrix (already divided by |P(i)|) and the normalizer."""
-    n = len(labels)
-    mask = anchor_mask if anchor_mask is not None else np.ones(n, dtype=bool)
-    positives = build_positive_index(labels)
-    wmat = np.zeros((n, n))
-    contributing = np.zeros(n, dtype=bool)
-    normalizer = 0.0
-    for i, pos in enumerate(positives):
-        if pos.size == 0 or not mask[i]:
-            continue
-        contributing[i] = True
-        if variant == "ssc":
-            wmat[i, pos] = weights[i] / pos.size
-            normalizer += weights[i]
-        else:
-            pair = np.sqrt(weights[i] * weights[pos])
-            wmat[i, pos] = pair / pos.size
-            normalizer += pair.sum() / pos.size
+    # dense N x N steps: a (rows, cols) pair list is slower and larger when one label dominates
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    count = same.sum(axis=1)
+    contributing = count > 0
+    if anchor_mask is not None:
+        contributing &= anchor_mask
+    same &= contributing[:, None]
+    size = np.maximum(count, 1)[:, None]
+    if variant == "ssc":
+        wmat = same * (weights[:, None] / size)
+        anchor = weights
+    else:
+        pair = np.sqrt(np.multiply.outer(weights, weights))
+        anchor = np.zeros(len(labels))
+        # anchors with equal |P(i)| form one C-contiguous block whose row sums round as 1-d sums
+        for c in np.unique(count[contributing]):
+            group = contributing & (count == c)
+            anchor[group] = pair[group][same[group]].reshape(-1, c).sum(axis=1) / c
+        pair /= size
+        pair *= same
+        wmat = pair
+    # cumsum adds the anchors one by one in index order, as a running total does
+    normalizer = np.cumsum(np.where(contributing, anchor, 0.0))[-1]
     return wmat, contributing, normalizer
 
 

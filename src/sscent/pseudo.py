@@ -181,7 +181,8 @@ def class_probabilities(z_w, bank: PrototypeBank, t_prime: float) -> np.ndarray:
         raise ValueError(f"embedding row {row} must be unit norm (got {float(norms[row])})")
     if not np.isfinite(t_prime) or t_prime <= 0:
         raise ValueError(f"temperature must be positive, got {t_prime}")
-    scaled = bank.scores_by_class(z) / float(t_prime)
+    with np.errstate(over="ignore"):  # an overflow is reported by the check below
+        scaled = bank.scores_by_class(z) / float(t_prime)
     if not np.all(np.isfinite(scaled)):
         raise ValueError("temperature too small for the given scores")
     exps = np.exp(scaled - scaled.max(axis=1, keepdims=True))

@@ -8,12 +8,13 @@ import pytest
 from sscent import (
     ContrastiveBatch,
     ZeroNormalizerError,
-    build_positive_index,
     grad_check,
     loss_oracle,
     ssc_e_loss,
     ssc_loss,
 )
+
+from sscent.losses import _pair_weights
 
 from conftest import circle_batch, random_batch, unit_rows
 
@@ -56,32 +57,113 @@ def test_batch_rejects_mismatched_anchor_mask():
 
 
 # ---------------------------------------------------------------------------
-# positive index
+# pair weights
+
+
+def reference_pair_weights(labels, weights, anchor_mask, variant):
+    """Per-anchor loop over the positive sets P(i), the oracle of _pair_weights.
+
+    P(i) holds the sorted indices j != i with labels[j] == labels[i]; each
+    anchor's mean pair weight is a 1-d sum over P(i) alone, and the
+    normalizer adds the anchors one by one in index order.
+    """
+    n = len(labels)
+    mask = anchor_mask if anchor_mask is not None else np.ones(n, dtype=bool)
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    positives = [np.flatnonzero(row) for row in same]
+    wmat = np.zeros((n, n))
+    contributing = np.zeros(n, dtype=bool)
+    normalizer = 0.0
+    for i, pos in enumerate(positives):
+        if pos.size == 0 or not mask[i]:
+            continue
+        contributing[i] = True
+        if variant == "ssc":
+            wmat[i, pos] = weights[i] / pos.size
+            normalizer += weights[i]
+        else:
+            pair = np.sqrt(weights[i] * weights[pos])
+            wmat[i, pos] = pair / pos.size
+            normalizer += pair.sum() / pos.size
+    return wmat, contributing, normalizer
+
+
+# (B, mu) of a trainer batch with K=3 prototypes: N = B + 2*mu*B + K
+LAYOUTS = {6: (1, 1), 123: (8, 7), 963: (64, 7)}
+
+
+def trainer_layout(rng, n, regime, lambda_reject=0.2, w_min=0.2, k=3):
+    """Labels, weights, hidden classes and pseudo-label kinds of a trainer batch.
+
+    Rows are [labeled | view 1 | view 2 | prototypes], as assemble_batch
+    lays them out. Unlabeled kinds are 0 (confident), 1 (entropy-selected)
+    or 2 (rejected); a rejected sample gets the unique label k + position,
+    shared by its two views. Regimes: "typical" mixes all three kinds,
+    "collapsed" gives every unlabeled view label 0, "rejected" rejects all.
+    """
+    b, mu = LAYOUTS[n]
+    mu_b = mu * b
+    truth = rng.integers(0, k, size=b + mu_b)
+    kinds = {"typical": rng.integers(0, 3, size=mu_b),
+             "collapsed": rng.integers(0, 2, size=mu_b),
+             "rejected": np.full(mu_b, 2)}[regime]
+    assigned = np.zeros(mu_b, dtype=int) if regime == "collapsed" else truth[b:]
+    labels_u = np.where(kinds == 2, k + np.arange(mu_b), assigned)
+    weights_u = np.select([kinds == 0, kinds == 1],
+                          [1.0, rng.uniform(w_min, 1.0, size=mu_b)], lambda_reject)
+    labels = np.concatenate([truth[:b], labels_u, labels_u, np.arange(k)])
+    weights = np.concatenate([np.ones(b), weights_u, weights_u, np.ones(k)])
+    return labels, weights, truth, kinds
+
+
+@pytest.mark.parametrize("regime", ["typical", "collapsed", "rejected"])
+@pytest.mark.parametrize("n", sorted(LAYOUTS))
+@pytest.mark.parametrize("variant", ["ssc", "ssc-e"])
+def test_pair_weights_match_per_anchor_loop(variant, n, regime):
+    # at N >= 123 positive sets exceed eight members, where NumPy's pairwise
+    # sum of a masked full row rounds differently from a sum over P(i) alone
+    rng = np.random.default_rng(45)
+    for trial in range(30 if n == 6 else 4):
+        zero = trial % 2 == 1
+        labels, weights, _, kinds = trainer_layout(
+            rng, n, regime, lambda_reject=0.0 if zero else 0.2,
+            w_min=0.0 if zero else 0.2)
+        b, mu = LAYOUTS[n]
+        selected = np.concatenate([np.zeros(b, dtype=bool), kinds == 1, kinds == 1,
+                                   np.zeros(3, dtype=bool)])
+        for w in (weights, np.ones(n)):
+            for mask in (None, ~selected):
+                fast = _pair_weights(labels, w, mask, variant)
+                slow = reference_pair_weights(labels, w, mask, variant)
+                assert np.array_equal(fast[0], slow[0])
+                assert np.array_equal(fast[1], slow[1])
+                assert fast[2] == slow[2]
+        # with unit weights and no mask, the support of W is the positive-set
+        # relation itself: symmetric, empty on the diagonal
+        support = _pair_weights(labels, np.ones(n), None, variant)[0] > 0
+        assert np.array_equal(support, support.T)
+        assert not support.diagonal().any()
+
+
+# the positive index P(i) is the support of row i of W under unit weights
 
 
 def test_positive_index_mixed_labels():
-    pos = build_positive_index(np.array([0, 0, 1]))
-    assert list(pos[0]) == [1]
-    assert list(pos[1]) == [0]
-    assert list(pos[2]) == []
+    for variant in ("ssc", "ssc-e"):
+        wmat, contributing, normalizer = _pair_weights(
+            np.array([0, 0, 1]), np.ones(3), None, variant)
+        assert np.array_equal(wmat, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        assert list(contributing) == [True, True, False]  # a unique label has no positives
+        assert normalizer == 2.0
 
 
 def test_positive_index_all_distinct_and_all_same():
-    pos = build_positive_index(np.array([3, 1, 2]))
-    assert all(p.size == 0 for p in pos)
-    pos = build_positive_index(np.array([7, 7, 7]))
-    assert [sorted(p) for p in pos] == [[1, 2], [0, 2], [0, 1]]
-
-
-def test_positive_index_symmetry():
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        labels = rng.integers(0, 4, size=rng.integers(2, 12))
-        pos = build_positive_index(labels)
-        for i, p in enumerate(pos):
-            for j in p:
-                assert i in pos[j]
-                assert i != j
+    for variant in ("ssc", "ssc-e"):
+        wmat, contributing, _ = _pair_weights(np.array([3, 1, 2]), np.ones(3), None, variant)
+        assert not wmat.any() and not contributing.any()
+        wmat, _, _ = _pair_weights(np.array([7, 7, 7]), np.ones(3), None, variant)
+        assert np.array_equal(wmat, 0.5 * (1 - np.eye(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +231,66 @@ def test_matches_oracle_on_random_batches():
             fast = fn(batch).value
             slow = loss_oracle(batch, variant)
             assert abs(fast - slow) / max(abs(slow), 1e-12) < 1e-9
+
+
+def longdouble_loss(batch, variant):
+    """Whole-matrix long-double reference: the direct form log(e_ip / sum_j e_ij).
+
+    Returns the loss and the matrix of exp terms (zero on the diagonal).
+    Unit rows keep every exponent within 1/T, far inside long-double range.
+    """
+    z = batch.embeddings.astype(np.longdouble)
+    lam = batch.weights.astype(np.longdouble)
+    same = batch.labels[:, None] == batch.labels[None, :]
+    np.fill_diagonal(same, False)
+    contributing = same.any(axis=1)
+    if batch.anchor_mask is not None:
+        contributing &= batch.anchor_mask
+    same &= contributing[:, None]
+    if variant == "ssc":
+        pair = np.broadcast_to(lam[:, None], same.shape)
+    else:
+        pair = np.sqrt(np.multiply.outer(lam, lam))
+    pair = np.where(same, pair / np.maximum(same.sum(axis=1), 1)[:, None], 0)
+    e = np.exp((z @ z.T) / np.longdouble(batch.temperature))
+    np.fill_diagonal(e, 0)
+    log_q = np.log(np.where(same, e, 1) / e.sum(axis=1, keepdims=True))
+    return float(-(pair * log_q).sum() / pair.sum()), e
+
+
+def clustered_batch(rng, n, temperature, d=16, noise=0.05, k=3):
+    """A "typical" trainer batch of unit rows, noise 0.05 around K=3 centres.
+
+    Labeled rows and the views of accepted samples sit around their hidden
+    class centre, prototypes are the centres themselves, and the two views
+    of a rejected sample sit around a random direction of their own, so at
+    a low temperature each is the other's dominant term.
+    """
+    labels, weights, truth, kinds = trainer_layout(rng, n, "typical")
+    b, mu = LAYOUTS[n]
+    mu_b = mu * b
+    centres = rng.normal(size=(k + mu_b, d))
+    centres /= np.linalg.norm(centres, axis=1, keepdims=True)
+    home = np.concatenate([truth[:b], np.where(kinds == 2, k + np.arange(mu_b), truth[b:])])
+    rows = np.concatenate([home, home[b:]])
+    z = np.vstack([centres[rows] + noise * rng.normal(size=(rows.size, d)), centres[:k]])
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return ContrastiveBatch(z, labels, weights, temperature)
+
+
+@pytest.mark.parametrize("temperature", [0.1, 0.01])
+@pytest.mark.parametrize("n", [123, 963])
+def test_matches_longdouble_reference_at_trainer_scale(n, temperature):
+    batch = clustered_batch(np.random.default_rng(46), n, temperature)
+    for variant, fn in (("ssc", ssc_loss), ("ssc-e", ssc_e_loss)):
+        reference, e = longdouble_loss(batch, variant)
+        assert abs(fn(batch).value - reference) / abs(reference) <= 1e-9
+    if temperature == 0.01:
+        # the cancellation regime: one positive term carries its whole row
+        same = batch.labels[:, None] == batch.labels[None, :]
+        np.fill_diagonal(same, False)
+        share = np.where(same, e, 0) / e.sum(axis=1, keepdims=True)
+        assert share.max() > 1 - 1e-6
 
 
 def test_pair_weight_zeroes_terms_with_dead_sample():
