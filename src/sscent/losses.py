@@ -134,12 +134,17 @@ def _pair_weights(labels, weights, anchor_mask, variant):
         wmat = same * (weights[:, None] / size)
         anchor = weights
     else:
-        pair = np.sqrt(np.multiply.outer(weights, weights))
+        pair = np.multiply.outer(weights, weights)
+        np.sqrt(pair, out=pair)
+        # the positive pairs of every contributing row, row after row
+        flat = pair[same]
+        length = np.where(contributing, count, 0)
+        start = np.cumsum(length) - length
         anchor = np.zeros(len(labels))
         # anchors with equal |P(i)| form one C-contiguous block whose row sums round as 1-d sums
         for c in np.unique(count[contributing]):
-            group = contributing & (count == c)
-            anchor[group] = pair[group][same[group]].reshape(-1, c).sum(axis=1) / c
+            group = np.flatnonzero(contributing & (count == c))
+            anchor[group] = flat[start[group][:, None] + np.arange(c)].sum(axis=1) / c
         pair /= size
         pair *= same
         wmat = pair
@@ -148,47 +153,70 @@ def _pair_weights(labels, weights, anchor_mask, variant):
     return wmat, contributing, normalizer
 
 
+def _two_sum_rows(exps):
+    """Row sums of `exps` as (hi, lo) pairs, bit for bit what a Knuth two-sum
+    loop over the columns gives, plus the N x N buffer `run` for reuse.
+
+    The loop keeps a running total hi and adds each column's rounding error
+    (hi - (s - xv)) + (x - xv), with s = hi + x and xv = s - hi, to a second
+    running total lo. np.cumsum (like np.add.accumulate) adds strictly left
+    to right and rounds after every addition, unlike the pairwise np.sum,
+    so its columns are the loop's successive hi. Each error term is then an
+    elementwise function of two neighbouring running sums and one column,
+    and accumulating the terms left to right gives the loop's lo. Column
+    0's term is exactly zero (hi starts at 0, so s = xv = x) and is left out.
+    """
+    run = np.cumsum(exps, axis=1)
+    xv = np.subtract(run[:, 1:], run[:, :-1])
+    err = np.subtract(run[:, 1:], xv)
+    np.subtract(run[:, :-1], err, out=err)
+    np.subtract(exps[:, 1:], xv, out=xv)
+    err += xv
+    np.add.accumulate(err, axis=1, out=err)
+    return run[:, -1].copy(), err[:, -1].copy(), run
+
+
 def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant,
               want_grad=True):
     wmat, contributing, normalizer = _pair_weights(labels, weights, anchor_mask, variant)
     if normalizer <= 0.0:
         raise ZeroNormalizerError(
             "total anchor weight is zero; no anchor with positives carries weight")
-    scaled = (embeddings @ embeddings.T) / temperature
-    off_diag = scaled.copy()
-    np.fill_diagonal(off_diag, -np.inf)
-    row_max = off_diag.max(axis=1)
-    exps = np.exp(off_diag - row_max[:, None])  # diagonal becomes exp(-inf) = 0
+    scaled = embeddings @ embeddings.T
+    scaled /= temperature
+    exps = scaled.copy()
+    np.fill_diagonal(exps, -np.inf)
+    row_max = exps.max(axis=1)
+    exps -= row_max[:, None]
+    np.exp(exps, out=exps)  # diagonal becomes exp(-inf) = 0
 
-    # row sums as hi+lo pairs (Knuth two-sum): a pair term is
-    # log(denom_i) - (s_ip - m_i), and when that pair's own exp dominates
-    # the denominator the plain difference cancels away the whole value.
-    # Keeping the low bits lets the remainder denom_i - exp_ip survive,
-    # and log1p(remainder/exp_ip) stays accurate however small the term.
-    denom_hi = np.zeros(exps.shape[0])
-    denom_lo = np.zeros(exps.shape[0])
-    for col in range(exps.shape[1]):
-        x = exps[:, col]
-        s = denom_hi + x
-        xv = s - denom_hi
-        denom_lo += (denom_hi - (s - xv)) + (x - xv)
-        denom_hi = s
+    # row sums as hi+lo pairs: a pair term is log(denom_i) - (s_ip - m_i),
+    # and when that pair's own exp dominates the denominator the plain
+    # difference cancels away the whole value. Keeping the low bits lets
+    # the remainder denom_i - exp_ip survive, and log1p(remainder/exp_ip)
+    # stays accurate however small the term.
+    denom_hi, denom_lo, terms = _two_sum_rows(exps)
     denom = denom_hi + denom_lo
     lse = row_max + np.log(denom)
 
-    rem = (denom_hi[:, None] - exps) + denom_lo[:, None]
+    np.subtract(denom_hi[:, None], exps, out=terms)
+    terms += denom_lo[:, None]
     pos = exps > 0.0
-    ratio = np.where(pos, rem, 0.0) / np.where(pos, exps, 1.0)
+    np.divide(terms, exps, out=terms, where=pos)
+    np.log1p(terms, out=terms, where=pos)
     # underflowed exps (shifted logit < -745) fall back to the direct
     # form, which cannot cancel there: the term is >= hundreds
-    terms = np.where(pos, np.log1p(ratio), lse[:, None] - scaled)
-    value = float((wmat * terms).sum() / normalizer)
+    np.subtract(lse[:, None], scaled, out=terms, where=~pos)
+    terms *= wmat
+    value = float(terms.sum() / normalizer)
     if not want_grad:
         return value, None, int(contributing.sum())
-    q = exps / denom[:, None]
-    row_weight = wmat.sum(axis=1)
-    weighted_q = row_weight[:, None] * q
-    coeff = -wmat - wmat.T + weighted_q + weighted_q.T
+    exps /= denom[:, None]  # q, the softmax over j != i
+    exps *= wmat.sum(axis=1)[:, None]
+    coeff = np.negative(wmat, out=terms)
+    coeff -= wmat.T
+    coeff += exps
+    coeff += exps.T
     grad = (coeff @ embeddings) / (normalizer * temperature)
     return value, grad, int(contributing.sum())
 

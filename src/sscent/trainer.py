@@ -403,7 +403,9 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     lab_idx = _sample_indices(rng, labeled_x.shape[0], b)
     unl_idx = _sample_indices(rng, unlabeled_x.shape[0], mu_b)
     chosen = unlabeled_x[unl_idx]
-    weak = np.stack([augment(u, policy, "weak", rng) for u in chosen])
+    # one block draw: normal() fills row after row, so this consumes the
+    # stream exactly as one augment(u, policy, "weak", rng) call per row
+    weak = chosen + rng.normal(0.0, policy.weak_noise_sigma, size=chosen.shape)
     strong1 = np.stack([augment(u, policy, "strong", rng) for u in chosen])
     strong2 = np.stack([augment(u, policy, "strong", rng) for u in chosen])
 
@@ -425,11 +427,10 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     weights = np.concatenate([np.ones(b), weights_u, weights_u, np.ones(k)])
     anchor_mask = None
     if config.positives_only:
-        anchor_mask = np.ones(embeddings.shape[0], dtype=bool)
-        for i, d in enumerate(decisions):
-            if d.kind is DecisionKind.ENTROPY_SELECTED:
-                anchor_mask[b + i] = False
-                anchor_mask[b + mu_b + i] = False
+        kept = np.array([d.kind is not DecisionKind.ENTROPY_SELECTED for d in decisions],
+                        dtype=bool)
+        anchor_mask = np.concatenate([np.ones(b, dtype=bool), kept, kept,
+                                      np.ones(k, dtype=bool)])
     batch = ContrastiveBatch(embeddings=embeddings, labels=labels,
                              weights=weights, temperature=config.temperature,
                              anchor_mask=anchor_mask)
@@ -477,7 +478,7 @@ def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
         loss=float(result.value),
         confident=sum(k is DecisionKind.CONFIDENT for k in kinds),
         entropy_selected=sum(k is DecisionKind.ENTROPY_SELECTED for k in kinds),
-        mean_unlabeled_weight=float(np.mean([d.weight for d in decisions])),
+        mean_unlabeled_weight=float(np.mean(batch.weights[b:b + mu_b])),
     )
     state.step = step + 1
     return metrics

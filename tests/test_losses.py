@@ -1,6 +1,7 @@
 """Tests for both contrastive loss variants, the oracle, and gradients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sscent import (
     ssc_loss,
 )
 
-from sscent.losses import _pair_weights
+from sscent.losses import _evaluate, _pair_weights, _two_sum_rows
 
 from conftest import circle_batch, random_batch, unit_rows
 
@@ -291,6 +292,148 @@ def test_matches_longdouble_reference_at_trainer_scale(n, temperature):
         np.fill_diagonal(same, False)
         share = np.where(same, e, 0) / e.sum(axis=1, keepdims=True)
         assert share.max() > 1 - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the whole-array kernel against its column-loop reference
+
+
+def loop_two_sum(exps):
+    """Knuth two-sum over the columns of `exps`: one running (hi, lo) per row."""
+    denom_hi = np.zeros(exps.shape[0])
+    denom_lo = np.zeros(exps.shape[0])
+    for col in range(exps.shape[1]):
+        x = exps[:, col]
+        s = denom_hi + x
+        xv = s - denom_hi
+        denom_lo += (denom_hi - (s - xv)) + (x - xv)
+        denom_hi = s
+    return denom_hi, denom_lo
+
+
+def reference_evaluate(embeddings, labels, weights, temperature, anchor_mask, variant):
+    """The kernel as a column loop with fresh temporaries, the oracle of _evaluate.
+
+    Pair weights come from the per-anchor loop, the row sums from
+    loop_two_sum; every other step is the same arithmetic in the same order,
+    so _evaluate must reproduce value, gradient and anchor count exactly.
+    """
+    wmat, contributing, normalizer = reference_pair_weights(
+        labels, weights, anchor_mask, variant)
+    if normalizer <= 0.0:
+        raise ZeroNormalizerError("total anchor weight is zero")
+    scaled = (embeddings @ embeddings.T) / temperature
+    off_diag = scaled.copy()
+    np.fill_diagonal(off_diag, -np.inf)
+    row_max = off_diag.max(axis=1)
+    exps = np.exp(off_diag - row_max[:, None])
+    denom_hi, denom_lo = loop_two_sum(exps)
+    denom = denom_hi + denom_lo
+    lse = row_max + np.log(denom)
+    rem = (denom_hi[:, None] - exps) + denom_lo[:, None]
+    pos = exps > 0.0
+    ratio = np.where(pos, rem, 0.0) / np.where(pos, exps, 1.0)
+    terms = np.where(pos, np.log1p(ratio), lse[:, None] - scaled)
+    value = float((wmat * terms).sum() / normalizer)
+    q = exps / denom[:, None]
+    weighted_q = wmat.sum(axis=1)[:, None] * q
+    coeff = -wmat - wmat.T + weighted_q + weighted_q.T
+    grad = (coeff @ embeddings) / (normalizer * temperature)
+    return value, grad, int(contributing.sum()), exps
+
+
+def kernel_cases(rng, n, regime):
+    """Labels, weight vectors and anchor masks of a batch of N rows.
+
+    N = 2 (regime "pair") is one positive pair; larger N are trainer layouts
+    in the given regime of trainer_layout, each with
+    paper-style weights, with zero weights planted, and with unit weights,
+    and each with no mask and with the positives-only mask.
+    """
+    if n == 2:
+        labels = np.array([4, 4])
+        for w in (rng.uniform(0.2, 1.0, size=2), np.array([1.0, 0.0]), np.ones(2)):
+            yield labels, w, None
+        return
+    for zero in (False, True):
+        labels, weights, _, kinds = trainer_layout(
+            rng, n, regime, lambda_reject=0.0 if zero else 0.2, w_min=0.0 if zero else 0.2)
+        b, mu = LAYOUTS[n]
+        kept = kinds != 1
+        mask = np.concatenate([np.ones(b, dtype=bool), kept, kept, np.ones(3, dtype=bool)])
+        for w in ((weights, np.ones(n)) if zero else (weights,)):
+            yield labels, w, None
+            yield labels, w, mask
+
+
+def antipodal_rows(rng, n, d=8, noise=0.01):
+    """Unit rows near the six directions +-e_0, +-e_1, +-e_2.
+
+    Similarities cluster near 1, 0 and -1, so at T = 0.002 a row's shifted
+    logits cluster near 0, -500 and -1000: the last underflow exp() to an
+    exact zero while no logit comes near the subnormal range.
+    """
+    axes = np.vstack([np.eye(d)[:3], -np.eye(d)[:3]])
+    z = axes[rng.integers(0, 6, size=n)] + noise * rng.normal(size=(n, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("temperature", [0.1, 0.01, 0.002])
+@pytest.mark.parametrize("n, regime", [(2, "pair")] + [
+    (n, regime) for n in sorted(LAYOUTS) for regime in ("typical", "collapsed")])
+def test_evaluate_matches_column_loop_reference(n, regime, temperature):
+    rng = np.random.default_rng(47)
+    underflowed = 0
+    for labels, weights, mask in kernel_cases(rng, n, regime):
+        if temperature == 0.002:
+            z = antipodal_rows(rng, n)
+        else:
+            z = unit_rows(rng, n, 16)
+        for variant in ("ssc", "ssc-e"):
+            args = (z, labels, weights, temperature, mask, variant)
+            try:
+                value, grad, count, exps = reference_evaluate(*args)
+            except ZeroNormalizerError:
+                with pytest.raises(ZeroNormalizerError):
+                    _evaluate(*args)
+                continue
+            fast = _evaluate(*args)
+            assert fast[0] == value
+            assert np.array_equal(fast[1], grad)
+            assert fast[2] == count
+            np.fill_diagonal(exps, 1.0)
+            underflowed += int((exps == 0.0).sum())
+    # the direct-form fallback for exp() underflow is exercised
+    assert (underflowed > 0) == (temperature == 0.002 and n > 2)
+
+
+def test_two_sum_rows_matches_column_loop_when_one_term_dominates():
+    rng = np.random.default_rng(48)
+    for n in (2, 6, 123, 963):
+        exps = rng.uniform(0.0, 1e-3, size=(40, n))
+        exps[np.arange(40), rng.integers(0, n, size=40)] = 1.0
+        hi, lo, _ = _two_sum_rows(exps)
+        loop_hi, loop_lo = loop_two_sum(exps)
+        assert np.array_equal(hi, loop_hi)
+        assert np.array_equal(lo, loop_lo)
+        # the low part carries bits the running total rounded away
+        assert np.all(lo != 0.0)
+
+
+@pytest.mark.parametrize("fn", [ssc_loss, ssc_e_loss])
+def test_loss_peak_memory_at_paper_shape(fn):
+    # at most seven N x N float64 buffers alive at once (N = 963, ~52 MB)
+    rng = np.random.default_rng(49)
+    n = 963
+    labels, weights, _, _ = trainer_layout(rng, n, "typical")
+    batch = ContrastiveBatch(unit_rows(rng, n, 16), labels, weights, 0.1)
+    tracemalloc.start()
+    try:
+        fn(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * n * n * 8
 
 
 def test_pair_weight_zeroes_terms_with_dead_sample():
