@@ -27,6 +27,7 @@ against central finite differences. Both exist purely for verification.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +50,8 @@ _VARIANTS = ("ssc", "ssc-e")
 
 # exp() on 80-bit long doubles overflows around 11356; shift above this.
 _ORACLE_EXP_GUARD = 11000.0
+
+_TINY = np.finfo(np.float64).tiny
 
 
 class ZeroNormalizerError(ValueError):
@@ -119,94 +122,144 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"unknown loss variant {variant!r}, expected one of {_VARIANTS}")
 
 
+class _Workspace(threading.local):
+    """The calling thread's N x N buffers, reused while N stays the same.
+
+    Blocks this large go back to the OS when they are freed, so fresh
+    arrays on every call fault in every page again. `floats` holds five
+    (N, N) arrays: the scaled logits (0), exps (1) and three that are the
+    two-sum's scratch first, then `ssc-e` class blocks (2, 3) and W (4),
+    and last `terms` and `coeff` (2); `flags` holds `same` and then `pos`.
+    """
+
+    n = -1
+
+    def arrays(self, n):
+        if n != self.n:
+            self.floats = self.flags = None  # release the old ones first
+            self.floats = tuple(np.empty((5, n, n)))  # one block, five views
+            self.flags = np.empty((n, n), dtype=bool)
+            self.n = n
+        return self.floats, self.flags
+
+
+_WORK = _Workspace()
+
+
 def _pair_weights(labels, weights, anchor_mask, variant):
-    """Per-pair weight matrix (already divided by |P(i)|) and the normalizer."""
+    """Per-pair weight matrix (already divided by |P(i)|), the contributing
+    anchors and the normalizer. W is array 4 of the thread's workspace."""
+    n = len(labels)
+    floats, same = _WORK.arrays(n)
     # dense N x N steps: a (rows, cols) pair list is slower and larger when one label dominates
-    same = labels[:, None] == labels[None, :]
-    np.fill_diagonal(same, False)
+    np.equal(labels[:, None], labels[None, :], out=same)
+    same.reshape(-1)[::n + 1] = False
     count = same.sum(axis=1)
     contributing = count > 0
     if anchor_mask is not None:
         contributing &= anchor_mask
     same &= contributing[:, None]
     size = np.maximum(count, 1)[:, None]
+    wmat = floats[4]
     if variant == "ssc":
-        wmat = same * (weights[:, None] / size)
+        np.multiply(same, weights[:, None] / size, out=wmat)
         anchor = weights
     else:
-        pair = np.multiply.outer(weights, weights)
-        np.sqrt(pair, out=pair)
-        # the positive pairs of every contributing row, row after row
-        flat = pair[same]
-        length = np.where(contributing, count, 0)
-        start = np.cumsum(length) - length
-        anchor = np.zeros(len(labels))
-        # anchors with equal |P(i)| form one C-contiguous block whose row sums round as 1-d sums
-        for c in np.unique(count[contributing]):
-            group = np.flatnonzero(contributing & (count == c))
-            anchor[group] = flat[start[group][:, None] + np.arange(c)].sum(axis=1) / c
-        pair /= size
-        pair *= same
-        wmat = pair
+        anchor = np.zeros(n)
+        # a stable sort lays each label class out as one run, in index order,
+        # and P(i) is i's class without i
+        order = np.argsort(labels, kind="stable")
+        ranked = count[order]
+        for c in np.unique(ranked[ranked > 0]):
+            members = order[ranked == c].reshape(-1, c + 1)
+            g, k = members.shape
+            lam = weights[members]
+            block = floats[2].reshape(-1)[:g * k * k].reshape(g, k, k)
+            np.multiply(lam[:, :, None], lam[:, None, :], out=block)
+            np.sqrt(block, out=block)
+            # after its first entry a k x k block splits into c rows of k + 1,
+            # each ending on a diagonal entry; without those the entries run
+            # row after row of the block, c per row
+            rows = floats[3].reshape(-1)[:g * k * c].reshape(g, k, c)
+            np.copyto(rows.reshape(g, c, k),
+                      block.reshape(g, k * k)[:, 1:].reshape(g, c, k + 1)[:, :, :k])
+            # C-contiguous rows of |P(i)| sum exactly like a 1-d sum over P(i)
+            anchor[members] = rows.sum(axis=2) / c
+        np.multiply.outer(weights, weights, out=wmat)
+        np.sqrt(wmat, out=wmat)
+        wmat /= size
+        wmat *= same
     # cumsum adds the anchors one by one in index order, as a running total does
     normalizer = np.cumsum(np.where(contributing, anchor, 0.0))[-1]
     return wmat, contributing, normalizer
 
 
-def _two_sum_rows(exps):
-    """Row sums of `exps` as (hi, lo) pairs, bit for bit what a Knuth two-sum
-    loop over the columns gives, plus the N x N buffer `run` for reuse.
+def _two_sum_rows(exps, scratch):
+    """Row sums of the (R, C) `exps` as (hi, lo), bit for bit what a Knuth
+    two-sum loop over the columns gives. `scratch` is three (C, R) arrays.
 
     The loop keeps a running total hi and adds each column's rounding error
     (hi - (s - xv)) + (x - xv), with s = hi + x and xv = s - hi, to a second
-    running total lo. np.cumsum (like np.add.accumulate) adds strictly left
-    to right and rounds after every addition, unlike the pairwise np.sum,
-    so its columns are the loop's successive hi. Each error term is then an
-    elementwise function of two neighbouring running sums and one column,
-    and accumulating the terms left to right gives the loop's lo. Column
-    0's term is exactly zero (hi starts at 0, so s = xv = x) and is left out.
+    running total lo. On the transpose, np.cumsum along axis 0 adds the rows
+    strictly in order and rounds after every addition, so row j holds the
+    loop's hi after column j. Each error term is then an elementwise
+    function of two neighbouring running sums and one column, and a sum
+    over the outer axis adds the terms row after row, exactly like lo (a sum
+    along the contiguous axis is pairwise and would not). Column 0's term is
+    exactly zero (hi starts at 0, so s = xv = x) and is left out.
     """
-    run = np.cumsum(exps, axis=1)
-    xv = np.subtract(run[:, 1:], run[:, :-1])
-    err = np.subtract(run[:, 1:], xv)
-    np.subtract(run[:, :-1], err, out=err)
-    np.subtract(exps[:, 1:], xv, out=xv)
-    err += xv
-    np.add.accumulate(err, axis=1, out=err)
-    return run[:, -1].copy(), err[:, -1].copy(), run
+    xt, run, err = scratch
+    np.copyto(xt, exps.T)
+    np.cumsum(xt, axis=0, out=run)
+    x, xv = xt[1:], err[1:]
+    np.subtract(run[1:], run[:-1], out=xv)
+    np.subtract(x, xv, out=x)
+    np.subtract(run[1:], xv, out=xv)
+    np.subtract(run[:-1], xv, out=xv)
+    xv += x
+    return run[-1].copy(), xv.sum(axis=0)
 
 
 def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant,
               want_grad=True):
-    wmat, contributing, normalizer = _pair_weights(labels, weights, anchor_mask, variant)
-    if normalizer <= 0.0:
-        raise ZeroNormalizerError(
-            "total anchor weight is zero; no anchor with positives carries weight")
-    scaled = embeddings @ embeddings.T
+    n = len(labels)
+    floats, pos = _WORK.arrays(n)
+    scaled, exps, terms = floats[:3]
+    np.matmul(embeddings, embeddings.T, out=scaled)
     scaled /= temperature
-    exps = scaled.copy()
-    np.fill_diagonal(exps, -np.inf)
-    row_max = exps.max(axis=1)
-    exps -= row_max[:, None]
+    # the row maxima skip the diagonal, which is restored afterwards
+    diagonal = scaled.reshape(-1)[::n + 1]
+    kept = diagonal.copy()
+    diagonal[:] = -np.inf
+    row_max = scaled.max(axis=1)
+    np.subtract(scaled, row_max[:, None], out=exps)
     np.exp(exps, out=exps)  # diagonal becomes exp(-inf) = 0
+    diagonal[:] = kept
 
     # row sums as hi+lo pairs: a pair term is log(denom_i) - (s_ip - m_i),
     # and when that pair's own exp dominates the denominator the plain
     # difference cancels away the whole value. Keeping the low bits lets
     # the remainder denom_i - exp_ip survive, and log1p(remainder/exp_ip)
     # stays accurate however small the term.
-    denom_hi, denom_lo, terms = _two_sum_rows(exps)
+    denom_hi, denom_lo = _two_sum_rows(exps, floats[2:])
+    # W and the class blocks take the two-sum's scratch once it is done
+    wmat, contributing, normalizer = _pair_weights(labels, weights, anchor_mask, variant)
+    if normalizer <= 0.0:
+        raise ZeroNormalizerError(
+            "total anchor weight is zero; no anchor with positives carries weight")
     denom = denom_hi + denom_lo
     lse = row_max + np.log(denom)
 
     np.subtract(denom_hi[:, None], exps, out=terms)
     terms += denom_lo[:, None]
-    pos = exps > 0.0
+    # the remainder is below N (N - 1 terms of at most 1), so remainder/exp
+    # is finite for exps of at least N * tiny; smaller ones (shifted logit
+    # below about -700) take the direct form, which cannot cancel there:
+    # the term is hundreds
+    np.greater_equal(exps, n * _TINY, out=pos)
     np.divide(terms, exps, out=terms, where=pos)
     np.log1p(terms, out=terms, where=pos)
-    # underflowed exps (shifted logit < -745) fall back to the direct
-    # form, which cannot cancel there: the term is >= hundreds
-    np.subtract(lse[:, None], scaled, out=terms, where=~pos)
+    np.subtract(lse[:, None], scaled, out=terms, where=np.logical_not(pos, out=pos))
     terms *= wmat
     value = float(terms.sum() / normalizer)
     if not want_grad:

@@ -1,6 +1,8 @@
 """Tests for both contrastive loss variants, the oracle, and gradients."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -294,6 +296,44 @@ def test_matches_longdouble_reference_at_trainer_scale(n, temperature):
         assert share.max() > 1 - 1e-6
 
 
+def tied_rows_batch(ties=400, temperature=0.002):
+    """`ties` equal rows and one row at shifted logit -706 from them.
+
+    Each tied row's denominator is `ties`, so remainder / exp overflows
+    there although exp(-706) is a normal number.
+    """
+    s = 1.0 - 706 * temperature
+    z = np.zeros((ties + 2, 4))
+    z[:ties, 0] = 1.0
+    z[ties] = [s, math.sqrt(1.0 - s * s), 0.0, 0.0]
+    z[ties + 1, 2] = 1.0
+    labels = np.repeat([0, 1], [ties, 2])
+    return ContrastiveBatch(z, labels, np.ones(ties + 2), temperature)
+
+
+def test_low_temperature_loss_finite_where_exp_nearly_underflows():
+    # at T = 0.002 some shifted logits fall in (-745, -708), where exp() is
+    # subnormal and remainder / exp overflows; such terms take the direct form
+    rng = np.random.default_rng(50)
+    batches = []
+    for _ in range(20):
+        labels, weights, _, _ = trainer_layout(rng, 123, "typical")
+        batches.append(ContrastiveBatch(unit_rows(rng, 123, 16), labels, weights, 0.002))
+    near_subnormal = 0
+    for batch in batches + [tied_rows_batch()]:
+        logits = batch.embeddings @ batch.embeddings.T / batch.temperature
+        np.fill_diagonal(logits, -np.inf)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        near_subnormal += int(((shifted > -745) & (shifted < -708)).sum())
+        for variant, fn in (("ssc", ssc_loss), ("ssc-e", ssc_e_loss)):
+            result = fn(batch)
+            assert np.isfinite(result.value)
+            assert np.all(np.isfinite(result.grad))
+            reference, _ = longdouble_loss(batch, variant)
+            assert abs(result.value - reference) / abs(reference) <= 1e-9
+    assert near_subnormal > 0
+
+
 # ---------------------------------------------------------------------------
 # the whole-array kernel against its column-loop reference
 
@@ -331,7 +371,8 @@ def reference_evaluate(embeddings, labels, weights, temperature, anchor_mask, va
     denom = denom_hi + denom_lo
     lse = row_max + np.log(denom)
     rem = (denom_hi[:, None] - exps) + denom_lo[:, None]
-    pos = exps > 0.0
+    # rem < N, so rem / exps is finite wherever exps >= N * tiny
+    pos = exps >= len(labels) * np.finfo(np.float64).tiny
     ratio = np.where(pos, rem, 0.0) / np.where(pos, exps, 1.0)
     terms = np.where(pos, np.log1p(ratio), lse[:, None] - scaled)
     value = float((wmat * terms).sum() / normalizer)
@@ -412,7 +453,7 @@ def test_two_sum_rows_matches_column_loop_when_one_term_dominates():
     for n in (2, 6, 123, 963):
         exps = rng.uniform(0.0, 1e-3, size=(40, n))
         exps[np.arange(40), rng.integers(0, n, size=40)] = 1.0
-        hi, lo, _ = _two_sum_rows(exps)
+        hi, lo = _two_sum_rows(exps, np.empty((3, n, 40)))
         loop_hi, loop_lo = loop_two_sum(exps)
         assert np.array_equal(hi, loop_hi)
         assert np.array_equal(lo, loop_lo)
@@ -420,13 +461,27 @@ def test_two_sum_rows_matches_column_loop_when_one_term_dominates():
         assert np.all(lo != 0.0)
 
 
+def test_two_sum_rows_adds_error_terms_in_column_order():
+    # terms spread over twenty decades leave error terms whose sum depends on
+    # the order of addition (above, every order gives the same sum)
+    rng = np.random.default_rng(55)
+    for n in (123, 963):
+        exps = 10.0 ** rng.uniform(-20.0, 0.0, size=(40, n))
+        hi, lo = _two_sum_rows(exps, np.empty((3, n, 40)))
+        loop_hi, loop_lo = loop_two_sum(exps)
+        assert np.array_equal(hi, loop_hi)
+        assert np.array_equal(lo, loop_lo)
+
+
 @pytest.mark.parametrize("fn", [ssc_loss, ssc_e_loss])
 def test_loss_peak_memory_at_paper_shape(fn):
-    # at most seven N x N float64 buffers alive at once (N = 963, ~52 MB)
+    # at most seven N x N float64 buffers alive at once (N = 963, ~52 MB),
+    # counting the workspace, which a call at N = 4 first leaves cold
     rng = np.random.default_rng(49)
     n = 963
     labels, weights, _, _ = trainer_layout(rng, n, "typical")
     batch = ContrastiveBatch(unit_rows(rng, n, 16), labels, weights, 0.1)
+    fn(circle_batch())
     tracemalloc.start()
     try:
         fn(batch)
@@ -434,6 +489,86 @@ def test_loss_peak_memory_at_paper_shape(fn):
     finally:
         tracemalloc.stop()
     assert peak <= 7 * n * n * 8
+
+
+@pytest.mark.parametrize("fn", [ssc_loss, ssc_e_loss])
+def test_warm_loss_call_allocates_no_square_array(fn):
+    # a second call at the same N runs in the workspace of the first
+    rng = np.random.default_rng(51)
+    n = 963
+    labels, weights, _, _ = trainer_layout(rng, n, "typical")
+    batch = ContrastiveBatch(unit_rows(rng, n, 16), labels, weights, 0.1)
+    fn(batch)
+    tracemalloc.start()
+    try:
+        fn(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * n * n * 8
+
+
+def paper_batches(rng, sizes=(123, 963)):
+    batches = []
+    for n in sizes:
+        labels, weights, _, _ = trainer_layout(rng, n, "typical")
+        batches.append(ContrastiveBatch(unit_rows(rng, n, 16), labels, weights, 0.1))
+    return batches
+
+
+def test_threads_alternating_sizes_match_sequential_calls():
+    batches = paper_batches(np.random.default_rng(52))
+    fns = (ssc_loss, ssc_e_loss)
+    expected = [[fn(batch) for batch in batches] for fn in fns]
+    results = [[] for _ in range(3)]  # more threads than cores
+
+    def work(slot):
+        for rep in range(2):
+            for i in ((0, 1) if (slot + rep) % 2 == 0 else (1, 0)):
+                for v, fn in enumerate(fns):
+                    results[slot].append((v, i, fn(batches[i])))
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for done in results:
+        assert len(done) == 8
+        for v, i, result in done:
+            assert result.value == expected[v][i].value
+            assert np.array_equal(result.grad, expected[v][i].grad)
+            assert result.anchor_count == expected[v][i].anchor_count
+
+
+def test_results_survive_later_calls_and_resizes():
+    small, large = paper_batches(np.random.default_rng(53))
+    first = ssc_e_loss(large)
+    grad = first.grad.copy()
+    ssc_loss(large)
+    ssc_e_loss(small)
+    assert np.array_equal(first.grad, grad)
+    # a call at N = 6 right after one at N = 963 still reproduces the reference
+    rng = np.random.default_rng(54)
+    for labels, weights, mask in kernel_cases(rng, 6, "typical"):
+        z = unit_rows(rng, 6, 16)
+        for variant in ("ssc", "ssc-e"):
+            ssc_loss(large)
+            args = (z, labels, weights, 0.1, mask, variant)
+            try:
+                value, grad, count, _ = reference_evaluate(*args)
+            except ZeroNormalizerError:
+                continue
+            fast = _evaluate(*args)
+            assert fast[0] == value
+            assert np.array_equal(fast[1], grad)
+            assert fast[2] == count
 
 
 def test_pair_weight_zeroes_terms_with_dead_sample():
