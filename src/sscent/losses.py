@@ -1,24 +1,30 @@
 """Pair-weighted supervised contrastive losses with analytic gradients.
 
-Two variants share one vectorized core. Writing s_ij = z_i . z_j and
-q_i(j) = softmax_{j != i}(s_ij / T):
+Two variants share one row-blocked kernel. With s_ij = z_i . z_j / T and
+P(i) the other rows with i's label:
 
 * "ssc" weighs every pair of anchor i by the anchor weight alone,
       L = (1 / sum_k lam_k) * sum_i (-lam_i / |P(i)|) *
-          sum_{p in P(i)} log( exp(s_ip/T) / sum_{j != i} exp(s_ij/T) )
+          sum_{p in P(i)} log( exp(s_ip) / sum_{j != i} exp(s_ij) )
   with the normalizer running over anchors that have positives.
 
 * "ssc-e" weighs each pair by the geometric mean sqrt(lam_i * lam_p) and
   normalizes by the sum of the anchor-wise averaged pair weights
   lam_bar_i = (1/|P(i)|) * sum_p sqrt(lam_i * lam_p).
 
-Both reduce to the same bits when all weights are equal to 1, and agree to
-rounding error for any other constant weight.
+Both factor the pair weight on P(i) as W_ip = a_i * b_p: a = lam/|P| and
+b = 1 ("ssc"), or a = sqrt(lam)/|P| and b = sqrt(lam) ("ssc-e"); a_i = 0 for
+anchors without positives or masked out. So r_i = sum_p W_ip, W Z and W^T Z
+are sums over label classes, and the normalizer is sum_i r_i.
 
-The gradient is computed in closed form. With W[i,p] the per-pair weight
-divided by |P(i)| (zero outside positive sets), r_i = sum_p W[i,p], and
-M = -W - W^T + diag(r) Q + Q^T diag(r), the gradient of the loss with
-respect to the embedding matrix Z is (M Z) / (norm * T).
+With m_i row i's largest s_ij (j != i), E_ij = exp(s_ij - m_i) and rem_i the
+sum of E_ij over j != i without one argmax entry, a pair term is
+log1p(rem_i) + (m_i - s_ip), two non-negative numbers, so nothing cancels
+however small the loss (Blanchard, Higham & Mary, arXiv:1909.03469):
+      L = [sum_i r_i log1p(rem_i) + sum_i a_i sum_p b_p (m_i - s_ip)] / norm
+      dL/dZ = [-W Z - W^T Z + (r/den) o (E Z) + E^T ((r/den) o Z)] / (norm T)
+with den = 1 + rem. E is formed in blocks of at most _BLOCK rows: no N x N
+array exists and nothing is kept between calls.
 
 loss_oracle recomputes either variant with literal nested loops and
 extended-precision scalars; grad_check compares the analytic gradient
@@ -27,7 +33,6 @@ against central finite differences. Both exist purely for verification.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,7 +56,8 @@ _VARIANTS = ("ssc", "ssc-e")
 # exp() on 80-bit long doubles overflows around 11356; shift above this.
 _ORACLE_EXP_GUARD = 11000.0
 
-_TINY = np.finfo(np.float64).tiny
+# rows per block: a block's two (64, N) float arrays stay in L2 at N ~ 1000
+_BLOCK = 64
 
 
 class ZeroNormalizerError(ValueError):
@@ -122,170 +128,88 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"unknown loss variant {variant!r}, expected one of {_VARIANTS}")
 
 
-class _Workspace(threading.local):
-    """The calling thread's N x N buffers, reused while N stays the same.
-
-    Blocks this large go back to the OS when they are freed, so fresh
-    arrays on every call fault in every page again. `floats` holds five
-    (N, N) arrays: the scaled logits (0), exps (1) and three that are the
-    two-sum's scratch first, then `ssc-e` class blocks (2, 3) and W (4),
-    and last `terms` and `coeff` (2); `flags` holds `same` and then `pos`.
-    """
-
-    n = -1
-
-    def arrays(self, n):
-        if n != self.n:
-            self.floats = self.flags = None  # release the old ones first
-            self.floats = tuple(np.empty((5, n, n)))  # one block, five views
-            self.flags = np.empty((n, n), dtype=bool)
-            self.n = n
-        return self.floats, self.flags
-
-
-_WORK = _Workspace()
-
-
-def _pair_weights(labels, weights, anchor_mask, variant):
-    """Per-pair weight matrix (already divided by |P(i)|), the contributing
-    anchors and the normalizer. W is array 4 of the thread's workspace."""
-    n = len(labels)
-    floats, same = _WORK.arrays(n)
-    # dense N x N steps: a (rows, cols) pair list is slower and larger when one label dominates
-    np.equal(labels[:, None], labels[None, :], out=same)
-    same.reshape(-1)[::n + 1] = False
-    count = same.sum(axis=1)
-    contributing = count > 0
-    if anchor_mask is not None:
-        contributing &= anchor_mask
-    same &= contributing[:, None]
-    size = np.maximum(count, 1)[:, None]
-    wmat = floats[4]
-    if variant == "ssc":
-        np.multiply(same, weights[:, None] / size, out=wmat)
-        anchor = weights
-    else:
-        anchor = np.zeros(n)
-        # a stable sort lays each label class out as one run, in index order,
-        # and P(i) is i's class without i
-        order = np.argsort(labels, kind="stable")
-        ranked = count[order]
-        for c in np.unique(ranked[ranked > 0]):
-            members = order[ranked == c].reshape(-1, c + 1)
-            g, k = members.shape
-            lam = weights[members]
-            block = floats[2].reshape(-1)[:g * k * k].reshape(g, k, k)
-            np.multiply(lam[:, :, None], lam[:, None, :], out=block)
-            np.sqrt(block, out=block)
-            # after its first entry a k x k block splits into c rows of k + 1,
-            # each ending on a diagonal entry; without those the entries run
-            # row after row of the block, c per row
-            rows = floats[3].reshape(-1)[:g * k * c].reshape(g, k, c)
-            np.copyto(rows.reshape(g, c, k),
-                      block.reshape(g, k * k)[:, 1:].reshape(g, c, k + 1)[:, :, :k])
-            # C-contiguous rows of |P(i)| sum exactly like a 1-d sum over P(i)
-            anchor[members] = rows.sum(axis=2) / c
-        np.multiply.outer(weights, weights, out=wmat)
-        np.sqrt(wmat, out=wmat)
-        wmat /= size
-        wmat *= same
-    # cumsum adds the anchors one by one in index order, as a running total does
-    normalizer = np.cumsum(np.where(contributing, anchor, 0.0))[-1]
-    return wmat, contributing, normalizer
-
-
-def _two_sum_rows(exps, scratch):
-    """Row sums of the (R, C) `exps` as (hi, lo), bit for bit what a Knuth
-    two-sum loop over the columns gives. `scratch` is three (C, R) arrays.
-
-    The loop keeps a running total hi and adds each column's rounding error
-    (hi - (s - xv)) + (x - xv), with s = hi + x and xv = s - hi, to a second
-    running total lo. On the transpose, np.cumsum along axis 0 adds the rows
-    strictly in order and rounds after every addition, so row j holds the
-    loop's hi after column j. Each error term is then an elementwise
-    function of two neighbouring running sums and one column, and a sum
-    over the outer axis adds the terms row after row, exactly like lo (a sum
-    along the contiguous axis is pairwise and would not). Column 0's term is
-    exactly zero (hi starts at 0, so s = xv = x) and is left out.
-    """
-    xt, run, err = scratch
-    np.copyto(xt, exps.T)
-    np.cumsum(xt, axis=0, out=run)
-    x, xv = xt[1:], err[1:]
-    np.subtract(run[1:], run[:-1], out=xv)
-    np.subtract(x, xv, out=x)
-    np.subtract(run[1:], xv, out=xv)
-    np.subtract(run[:-1], xv, out=xv)
-    xv += x
-    return run[-1].copy(), xv.sum(axis=0)
+def _positive_sums(cls, a, b, embeddings):
+    """-W Z - W^T Z from class sums of b z and a z (its own function so that
+    these (N, 2, d) temporaries are freed before the row blocks exist)."""
+    n = len(cls)
+    coef = np.empty((n, 2, 1))
+    coef[:, 0, 0] = b
+    coef[:, 1, 0] = a
+    parts = coef * embeddings[:, None]
+    w = parts[0].size
+    # one bincount over (class, column) pairs sums every column
+    sums = np.bincount((cls[:, None] * w + np.arange(w)).ravel(), parts.ravel(), n * w)
+    parts -= sums.reshape(parts.shape)[cls]
+    return np.add.reduce(coef[:, ::-1] * parts, axis=1)
 
 
 def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant,
               want_grad=True):
     n = len(labels)
-    floats, pos = _WORK.arrays(n)
-    scaled, exps, terms = floats[:3]
-    np.matmul(embeddings, embeddings.T, out=scaled)
-    scaled /= temperature
-    # the row maxima skip the diagonal, which is restored afterwards
-    diagonal = scaled.reshape(-1)[::n + 1]
-    kept = diagonal.copy()
-    diagonal[:] = -np.inf
-    row_max = scaled.max(axis=1)
-    np.subtract(scaled, row_max[:, None], out=exps)
-    np.exp(exps, out=exps)  # diagonal becomes exp(-inf) = 0
-    diagonal[:] = kept
-
-    # row sums as hi+lo pairs: a pair term is log(denom_i) - (s_ip - m_i),
-    # and when that pair's own exp dominates the denominator the plain
-    # difference cancels away the whole value. Keeping the low bits lets
-    # the remainder denom_i - exp_ip survive, and log1p(remainder/exp_ip)
-    # stays accurate however small the term.
-    denom_hi, denom_lo = _two_sum_rows(exps, floats[2:])
-    # W and the class blocks take the two-sum's scratch once it is done
-    wmat, contributing, normalizer = _pair_weights(labels, weights, anchor_mask, variant)
+    # a row's class is the first sorted position of its label: two calls, where
+    # np.unique would cost a third of a call at small N
+    cls = np.sort(labels).searchsorted(labels)
+    count = np.bincount(cls)[cls] - 1
+    contributing = count > 0
+    if anchor_mask is not None:
+        contributing &= anchor_mask
+    if variant == "ssc":
+        a, b, positive_b = weights, np.ones(n), count  # sum_p b_p is |P(i)|
+    else:
+        a = b = np.sqrt(weights)
+        positive_b = np.bincount(cls, b)[cls] - b
+    a = np.divide(a, count, out=np.zeros(n), where=contributing)
+    r = a * positive_b
+    normalizer = np.add.reduce(r)
     if normalizer <= 0.0:
         raise ZeroNormalizerError(
             "total anchor weight is zero; no anchor with positives carries weight")
-    denom = denom_hi + denom_lo
-    lse = row_max + np.log(denom)
 
-    np.subtract(denom_hi[:, None], exps, out=terms)
-    terms += denom_lo[:, None]
-    # the remainder is below N (N - 1 terms of at most 1), so remainder/exp
-    # is finite for exps of at least N * tiny; smaller ones (shifted logit
-    # below about -700) take the direct form, which cannot cancel there:
-    # the term is hundreds
-    np.greater_equal(exps, n * _TINY, out=pos)
-    np.divide(terms, exps, out=terms, where=pos)
-    np.log1p(terms, out=terms, where=pos)
-    np.subtract(lse[:, None], scaled, out=terms, where=np.logical_not(pos, out=pos))
-    terms *= wmat
-    value = float(terms.sum() / normalizer)
-    if not want_grad:
-        return value, None, int(contributing.sum())
-    exps /= denom[:, None]  # q, the softmax over j != i
-    exps *= wmat.sum(axis=1)[:, None]
-    coeff = np.negative(wmat, out=terms)
-    coeff -= wmat.T
-    coeff += exps
-    coeff += exps.T
-    grad = (coeff @ embeddings) / (normalizer * temperature)
-    return value, grad, int(contributing.sum())
+    scaled = embeddings / temperature
+    rem, gaps = np.empty(n), np.empty(n)
+    grad = _positive_sums(cls, a, b, embeddings) if want_grad else None
+    s_buf = np.empty((min(_BLOCK, n), n))
+    e_buf = np.empty_like(s_buf)
+    for start in range(0, n, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        s, e = s_buf[:n - start], e_buf[:n - start]
+        at = np.arange(len(s))
+        diagonal = (at, at + start)
+        np.matmul(scaled[block], embeddings.T, out=s)
+        s[diagonal] = -np.inf
+        top = (at, s.argmax(axis=1))
+        np.subtract(s, s[top][:, None], out=s)  # s - m: 0 at the argmax, -inf at i
+        np.exp(s, out=e)
+        # the argmax entry leaves the sum instead of a 1 being subtracted after it
+        e[top] = 0.0
+        np.add.reduce(e, axis=1, out=rem[block])
+        e[top] = 1.0
+        s[diagonal] = 0.0  # i is in its own label mask; a zero gap keeps inf * 0 out
+        s *= labels[block, None] == labels
+        np.matmul(s, b, out=gaps[block])  # -sum_p b_p (m_i - s_ip)
+        if want_grad:
+            rho = (r[block] / (1.0 + rem[block]))[:, None]
+            grad[block] += rho * (e @ embeddings)
+            grad += e.T @ (rho * embeddings[block])
+    value = float((r @ np.log1p(rem) - a @ gaps) / normalizer)
+    if want_grad:
+        grad /= normalizer * temperature
+    return value, grad, np.count_nonzero(contributing)
+
+
+def _loss(batch, variant):
+    return LossResult(*_evaluate(batch.embeddings, batch.labels, batch.weights,
+                                 batch.temperature, batch.anchor_mask, variant))
 
 
 def ssc_loss(batch: ContrastiveBatch) -> LossResult:
     """Anchor-weighted contrastive loss with its analytic gradient."""
-    value, grad, count = _evaluate(batch.embeddings, batch.labels, batch.weights,
-                                   batch.temperature, batch.anchor_mask, "ssc")
-    return LossResult(value=value, grad=grad, anchor_count=count)
+    return _loss(batch, "ssc")
 
 
 def ssc_e_loss(batch: ContrastiveBatch) -> LossResult:
     """Pair-weighted contrastive loss (geometric-mean weights) with gradient."""
-    value, grad, count = _evaluate(batch.embeddings, batch.labels, batch.weights,
-                                   batch.temperature, batch.anchor_mask, "ssc-e")
-    return LossResult(value=value, grad=grad, anchor_count=count)
+    return _loss(batch, "ssc-e")
 
 
 def loss_oracle(batch: ContrastiveBatch, variant: str) -> float:
@@ -348,21 +272,17 @@ def grad_check(batch: ContrastiveBatch, variant: str, epsilon: float = 1e-5) -> 
     _check_variant(variant)
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
-    _, analytic, _ = _evaluate(batch.embeddings, batch.labels, batch.weights,
-                               batch.temperature, batch.anchor_mask, variant)
+    rest = (batch.labels, batch.weights, batch.temperature, batch.anchor_mask, variant)
+    analytic = _evaluate(batch.embeddings, *rest)[1]
     z = batch.embeddings
     worst = 0.0
     for a in range(z.shape[0]):
         for k in range(z.shape[1]):
             bumped = z.copy()
             bumped[a, k] += epsilon
-            up, _, _ = _evaluate(bumped, batch.labels, batch.weights,
-                                 batch.temperature, batch.anchor_mask, variant,
-                                 want_grad=False)
+            up = _evaluate(bumped, *rest, want_grad=False)[0]
             bumped[a, k] -= 2.0 * epsilon
-            down, _, _ = _evaluate(bumped, batch.labels, batch.weights,
-                                   batch.temperature, batch.anchor_mask, variant,
-                                   want_grad=False)
+            down = _evaluate(bumped, *rest, want_grad=False)[0]
             numeric = (up - down) / (2.0 * epsilon)
             denom = max(abs(analytic[a, k]), abs(numeric), 1e-8)
             worst = max(worst, abs(analytic[a, k] - numeric) / denom)
