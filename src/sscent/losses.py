@@ -143,8 +143,9 @@ def _positive_sums(cls, a, b, embeddings):
     return np.add.reduce(coef[:, ::-1] * parts, axis=1)
 
 
-def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant,
-              want_grad=True):
+def _pair_factors(labels, weights, anchor_mask, variant):
+    """Class ids, the factors a and b of W_ip = a_i b_p on P(i), the row sums
+    r_i = sum_p W_ip and the contributing anchors."""
     n = len(labels)
     # a row's class is the first sorted position of its label: two calls, where
     # np.unique would cost a third of a call at small N
@@ -159,7 +160,13 @@ def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant,
         a = b = np.sqrt(weights)
         positive_b = np.bincount(cls, b)[cls] - b
     a = np.divide(a, count, out=np.zeros(n), where=contributing)
-    r = a * positive_b
+    return cls, a, b, a * positive_b, contributing
+
+
+def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant,
+              want_grad=True):
+    n = len(labels)
+    cls, a, b, r, contributing = _pair_factors(labels, weights, anchor_mask, variant)
     normalizer = np.add.reduce(r)
     if normalizer <= 0.0:
         raise ZeroNormalizerError(

@@ -17,7 +17,7 @@ from sscent import (
     ssc_loss,
 )
 
-from sscent.losses import _evaluate
+from sscent.losses import _evaluate, _pair_factors
 
 from conftest import circle_batch, random_batch, unit_rows
 
@@ -118,6 +118,46 @@ def trainer_layout(rng, n, regime, lambda_reject=0.2, w_min=0.2, k=3):
     labels = np.concatenate([truth[:b], labels_u, labels_u, np.arange(k)])
     weights = np.concatenate([np.ones(b), weights_u, weights_u, np.ones(k)])
     return labels, weights, truth, kinds
+
+
+def factored_pair_weights(labels, weights, anchor_mask, variant):
+    """The kernel's W = a b^T on the positive sets, its anchors and normalizer."""
+    _, a, b, r, contributing = _pair_factors(labels, weights, anchor_mask, variant)
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    return np.outer(a, b) * same, contributing, np.add.reduce(r)
+
+
+@pytest.mark.parametrize("regime", ["typical", "collapsed", "rejected"])
+@pytest.mark.parametrize("n", sorted(LAYOUTS))
+@pytest.mark.parametrize("variant", ["ssc", "ssc-e"])
+def test_pair_weights_match_per_anchor_loop(variant, n, regime):
+    # a_i b_p rounds once more than the loop's weight (sqrt(lam_i) sqrt(lam_p)
+    # against sqrt(lam_i lam_p) for "ssc-e", (lam/|P|)|P| in r_i), so entries
+    # agree to a few ulps and the normalizer to its summation order; zeros and
+    # the contributing anchors are exact
+    rng = np.random.default_rng(45)
+    eps = np.finfo(float).eps
+    for trial in range(30 if n == 6 else 4):
+        zero = trial % 2 == 1
+        labels, weights, _, kinds = trainer_layout(
+            rng, n, regime, lambda_reject=0.0 if zero else 0.2,
+            w_min=0.0 if zero else 0.2)
+        b, mu = LAYOUTS[n]
+        selected = np.concatenate([np.zeros(b, dtype=bool), kinds == 1, kinds == 1,
+                                   np.zeros(3, dtype=bool)])
+        for w in (weights, np.ones(n)):
+            for mask in (None, ~selected):
+                fast = factored_pair_weights(labels, w, mask, variant)
+                slow = reference_pair_weights(labels, w, mask, variant)
+                np.testing.assert_allclose(fast[0], slow[0], rtol=4 * eps, atol=0)
+                assert np.array_equal(fast[1], slow[1])
+                assert fast[2] == pytest.approx(slow[2], rel=n * eps, abs=0)
+        # with unit weights and no mask, the support of W is the positive-set
+        # relation itself: symmetric, empty on the diagonal
+        support = factored_pair_weights(labels, np.ones(n), None, variant)[0] > 0
+        assert np.array_equal(support, support.T)
+        assert not support.diagonal().any()
 
 
 # P(i) holds the other rows with i's label
