@@ -17,14 +17,14 @@ from importlib import resources
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
+from .checkpoint import CheckpointFormatError, load_checkpoint
 from .data import (CsvFormatError, generate_gaussian_clusters, load_csv,
-                   save_csv, split_dataset)
+                   read_table, save_csv, split_dataset)
 from .encoder import EncoderConfig, MlpEncoder
 from .evaluate import build_report, format_report
-from .losses import ContrastiveBatch, ZeroNormalizerError, grad_check, ssc_e_loss, ssc_loss
+from .losses import ContrastiveBatch, finite_difference_error, grad_check, ssc_e_loss, ssc_loss
 from .pseudo import EntropyGate, assign_pseudo_labels
-from .trainer import (ConfigError, NonFiniteLossError, TrainConfig, config_to_lines,
+from .trainer import (NonFiniteLossError, TrainConfig, config_to_lines,
                       parse_config_file, parse_config_lines, read_metrics, train)
 
 __all__ = ["main"]
@@ -266,34 +266,17 @@ def _end_to_end_error(variant: str, eps: float, rng: np.random.Generator) -> flo
     x = rng.normal(size=(6, 5))
     labels = np.array([0, 0, 1, 1, 2, 2])
     weights = rng.uniform(0.2, 1.0, size=6)
-    temperature = 0.3
 
-    def value() -> float:
-        z, _ = enc.forward(x)
+    def forward_loss():
+        z, cache = enc.forward(x)
         batch = ContrastiveBatch(embeddings=z, labels=labels, weights=weights,
-                                 temperature=temperature)
-        return loss_fn(batch).value
+                                 temperature=0.3)
+        return cache, loss_fn(batch)
 
-    z, cache = enc.forward(x)
-    batch = ContrastiveBatch(embeddings=z, labels=labels, weights=weights,
-                             temperature=temperature)
-    grads = enc.backward(cache, loss_fn(batch).grad)
-    worst = 0.0
-    for param, grad in zip(enc.parameters(), grads):
-        flat_p = param.ravel()
-        flat_g = grad.ravel()
-        for idx in range(flat_p.size):
-            keep = flat_p[idx]
-            flat_p[idx] = keep + eps
-            up = value()
-            flat_p[idx] = keep - eps
-            down = value()
-            flat_p[idx] = keep
-            numeric = (up - down) / (2.0 * eps)
-            analytic = flat_g[idx]
-            denom = max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic - numeric) / denom)
-    return worst
+    cache, result = forward_loss()
+    grads = enc.backward(cache, result.grad)
+    return finite_difference_error(enc.parameters(), grads,
+                                   lambda: forward_loss()[1].value, eps)
 
 
 def cmd_gradcheck(args) -> int:
@@ -325,30 +308,18 @@ def cmd_gradcheck(args) -> int:
 
 
 def _load_prob_rows(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, raw.rstrip("\r\n")) for n, raw in enumerate(fh, start=1)]
-    lines = [(n, line) for n, line in lines if line and not line.startswith("#")]
-    if not lines:
-        raise CsvFormatError(path, None, "file is empty")
-    header_no, header = lines[0]
-    cols = header.split(",")
-    expected = [f"p_{j}" for j in range(len(cols))]
-    if cols != expected:
-        raise CsvFormatError(path, header_no, "header must be p_0,...,p_{C-1}")
-    rows = []
-    for number, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(cols):
-            raise CsvFormatError(path, number,
-                                 f"expected {len(cols)} columns, found {len(cells)}")
+    rows = read_table(path, lambda cols: None if cols == [f"p_{j}" for j in range(len(cols))]
+                      else "header must be p_0,...,p_{C-1}")
+    next(rows)
+    probs = []
+    for number, cells in rows:
         try:
-            row = [float(c) for c in cells]
+            probs.append([float(c) for c in cells])
         except ValueError:
             raise CsvFormatError(path, number, "non-numeric probability cell") from None
-        rows.append(row)
-    if not rows:
+    if not probs:
         raise CsvFormatError(path, None, "no probability rows")
-    return np.array(rows)
+    return np.array(probs)
 
 
 def cmd_gate_sim(args) -> int:
@@ -399,14 +370,6 @@ def cmd_gate_sim(args) -> int:
     return 0
 
 
-def _final_accuracy(path) -> float:
-    _, rows = read_metrics(path)
-    for row in reversed(rows):
-        if row["test_acc"]:
-            return float(row["test_acc"])
-    raise ValueError(f"{path}: no test_acc values recorded")
-
-
 def cmd_compare(args) -> int:
     if len(args.logs) < 2:
         raise UsageError("compare needs at least 2 metrics logs")
@@ -416,12 +379,15 @@ def cmd_compare(args) -> int:
         return 2
     entries = []
     for path in args.logs:
-        meta, _ = read_metrics(path)
+        meta, rows = read_metrics(path)
+        evals = [row["test_acc"] for row in rows if row["test_acc"]]
+        if not evals:
+            raise ValueError(f"{path}: no test_acc values recorded")
         entries.append({
             "method": meta.get("train.method", "?"),
             "labels_per_class": meta.get("data.labels_per_class", "?"),
             "seed": meta.get("train.seed", "?"),
-            "acc": _final_accuracy(path),
+            "acc": float(evals[-1]),
         })
     def _numeric_aware(text):
         return (0, int(text)) if text.isdigit() else (1, text)
@@ -467,16 +433,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _dump_batch(exc.batch, sys.stderr)
         return 3
-    except CsvFormatError as exc:
+    except (CsvFormatError, CheckpointFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ZeroNormalizerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and ZeroNormalizerError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,6 +25,7 @@ __all__ = [
     "augment",
     "generate_gaussian_clusters",
     "load_csv",
+    "read_table",
     "save_csv",
     "split_dataset",
 ]
@@ -270,41 +271,56 @@ def save_csv(ds: Dataset, path, hide_unlabeled_labels: bool = False,
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_csv_lines(path) -> list[tuple[int, str]]:
-    """Non-comment lines with their 1-based numbers; comments are dropped."""
-    out = []
+def read_table(path, header_problem, comments=None):
+    """Yield a CSV's header cells, then (line number, cells) per row.
+
+    Reads one line at a time and skips blank lines and '#' comments (their
+    text after the '#' goes to `comments` when a list is given). Raises
+    CsvFormatError at a header for which `header_problem(cells)` returns a
+    message, at a row whose width differs from the header's, and for a file
+    without a header.
+    """
+    header = None
     with open(path, "r", encoding="utf-8") as fh:
         for number, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if line.startswith("#"):
+                if comments is not None:
+                    comments.append(line[1:])
                 continue
-            if line == "" and number > 1:
+            if not line:
                 continue
-            out.append((number, line))
-    return out
+            cells = line.split(",")
+            if header is None:
+                problem = header_problem(cells)
+                if problem:
+                    raise CsvFormatError(path, number, problem)
+                header = cells
+                yield header
+            elif len(cells) != len(header):
+                raise CsvFormatError(path, number,
+                                     f"expected {len(header)} columns, found {len(cells)}")
+            else:
+                yield number, cells
+    if header is None:
+        raise CsvFormatError(path, None, "file is empty")
+
+
+def _dataset_header_problem(cols):
+    if len(cols) < 3 or cols[-2:] != ["label", "split"]:
+        return "header must end with 'label,split'"
+    d = len(cols) - 2
+    if cols[:d] != [f"feat_{j}" for j in range(d)]:
+        return f"feature columns must be feat_0..feat_{d - 1}"
+    return None
 
 
 def load_csv(path) -> Dataset:
     """Parse a dataset CSV; every structural defect names its line."""
-    rows = _read_csv_lines(path)
-    if not rows:
-        raise CsvFormatError(path, None, "file is empty")
-    header_no, header = rows[0]
-    cols = header.split(",")
-    if len(cols) < 3 or cols[-2] != "label" or cols[-1] != "split":
-        raise CsvFormatError(path, header_no,
-                             "header must end with 'label,split'")
-    d = len(cols) - 2
-    expected = [f"feat_{j}" for j in range(d)]
-    if cols[:d] != expected:
-        raise CsvFormatError(path, header_no,
-                             f"feature columns must be feat_0..feat_{d - 1}")
+    rows = read_table(path, _dataset_header_problem)
+    d = len(next(rows)) - 2
     features, labels, split = [], [], []
-    for number, line in rows[1:]:
-        cells = line.split(",")
-        if len(cells) != d + 2:
-            raise CsvFormatError(path, number,
-                                 f"expected {d + 2} columns, found {len(cells)}")
+    for number, cells in rows:
         try:
             feat = [float(c) for c in cells[:d]]
         except ValueError:
@@ -326,8 +342,5 @@ def load_csv(path) -> Dataset:
         features.append(feat)
         labels.append(label)
         split.append(tag)
-    if not features:
-        return Dataset(np.zeros((0, d)), np.zeros(0, dtype=np.int64),
-                       np.zeros(0, dtype=object))
-    return Dataset(np.array(features), np.array(labels, dtype=np.int64),
+    return Dataset(np.array(features).reshape(-1, d), np.array(labels, dtype=np.int64),
                    np.array(split, dtype=object))

@@ -28,7 +28,8 @@ array exists and nothing is kept between calls.
 
 loss_oracle recomputes either variant with literal nested loops and
 extended-precision scalars; grad_check compares the analytic gradient
-against central finite differences. Both exist purely for verification.
+against central finite differences through finite_difference_error. Both
+exist purely for verification.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "ContrastiveBatch",
     "LossResult",
     "ZeroNormalizerError",
+    "finite_difference_error",
     "grad_check",
     "loss_oracle",
     "ssc_e_loss",
@@ -270,27 +272,38 @@ def loss_oracle(batch: ContrastiveBatch, variant: str) -> float:
     return float(total / normalizer)
 
 
-def grad_check(batch: ContrastiveBatch, variant: str, epsilon: float = 1e-5) -> float:
-    """Max relative error between the analytic gradient and central differences.
+def finite_difference_error(arrays, grads, value, epsilon: float) -> float:
+    """Max relative error between `grads` and central differences of `value()`.
 
-    Per coordinate, the relative error uses max(|analytic|, |numeric|, 1e-8)
-    as the denominator so dead coordinates cannot blow up the ratio.
+    Each entry x of each array is set to x + epsilon and x - epsilon in place
+    around a `value()` call and then restored. The relative error divides by
+    max(|analytic|, |numeric|, 1e-8) so dead coordinates cannot blow it up.
+    """
+    worst = 0.0
+    for arr, grad in zip(arrays, grads):
+        for idx in np.ndindex(arr.shape):
+            keep = arr[idx]
+            arr[idx] = keep + epsilon
+            up = value()
+            arr[idx] = keep - epsilon
+            down = value()
+            arr[idx] = keep
+            numeric = (up - down) / (2.0 * epsilon)
+            denom = max(abs(grad[idx]), abs(numeric), 1e-8)
+            worst = max(worst, abs(grad[idx] - numeric) / denom)
+    return worst
+
+
+def grad_check(batch: ContrastiveBatch, variant: str, epsilon: float = 1e-5) -> float:
+    """finite_difference_error of the analytic gradient over the embeddings.
+
+    The batch is left untouched: the differences are taken on a copy.
     """
     _check_variant(variant)
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
+    z = batch.embeddings.copy()
     rest = (batch.labels, batch.weights, batch.temperature, batch.anchor_mask, variant)
-    analytic = _evaluate(batch.embeddings, *rest)[1]
-    z = batch.embeddings
-    worst = 0.0
-    for a in range(z.shape[0]):
-        for k in range(z.shape[1]):
-            bumped = z.copy()
-            bumped[a, k] += epsilon
-            up = _evaluate(bumped, *rest, want_grad=False)[0]
-            bumped[a, k] -= 2.0 * epsilon
-            down = _evaluate(bumped, *rest, want_grad=False)[0]
-            numeric = (up - down) / (2.0 * epsilon)
-            denom = max(abs(analytic[a, k]), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic[a, k] - numeric) / denom)
-    return worst
+    analytic = _evaluate(z, *rest)[1]
+    return finite_difference_error(
+        [z], [analytic], lambda: _evaluate(z, *rest, want_grad=False)[0], epsilon)

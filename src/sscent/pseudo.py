@@ -63,15 +63,10 @@ class DecisionKind(enum.Enum):
 
 @dataclass
 class PrototypeBank:
-    """One unit vector per class.
-
-    prototypes: (K, d) array with unit-norm rows.
-    class_ids: (K,) array, a permutation of 0..K-1; class_ids[k] is the
-        class represented by row k.
-    """
+    """One unit vector per class: row k of the (K, d) `prototypes` array is
+    the prototype of class k."""
 
     prototypes: np.ndarray
-    class_ids: np.ndarray
 
     def __post_init__(self):
         self.prototypes = as_finite_array(self.prototypes, "prototypes")
@@ -81,10 +76,6 @@ class PrototypeBank:
         if np.any(np.abs(norms - 1.0) > PROTOTYPE_NORM_TOL):
             worst = float(np.abs(norms - 1.0).max())
             raise ValueError(f"prototype rows must be unit norm (worst deviation {worst:.2e})")
-        self.class_ids = np.asarray(self.class_ids, dtype=np.int64)
-        k = self.prototypes.shape[0]
-        if self.class_ids.shape != (k,) or sorted(self.class_ids.tolist()) != list(range(k)):
-            raise ValueError("class_ids must be a permutation of 0..K-1")
 
     @property
     def num_classes(self) -> int:
@@ -96,36 +87,33 @@ class PrototypeBank:
 
     @classmethod
     def random(cls, num_classes: int, dim: int, rng: np.random.Generator) -> "PrototypeBank":
-        """Seeded isotropic directions, unit-normalized, identity class ids."""
+        """Seeded isotropic directions, unit-normalized."""
         raw = rng.normal(size=(num_classes, dim))
         raw /= np.linalg.norm(raw, axis=1)[:, None]
-        return cls(prototypes=raw, class_ids=np.arange(num_classes))
+        return cls(prototypes=raw)
 
     def scores_by_class(self, embeddings: np.ndarray) -> np.ndarray:
-        """Cosine scores against each prototype, columns ordered by class id.
+        """Cosine scores against each prototype; column k is class k.
 
         Each row is its own (1, d) @ (d, K) product, so its bits do not
         depend on the rows scored with it; a single (n, d) @ (d, K) product
         can differ in the last place.
         """
         z = np.atleast_2d(embeddings)
-        scores = (z[:, None, :] @ self.prototypes.T)[:, 0, :]
-        return scores[:, np.argsort(self.class_ids)]
+        return (z[:, None, :] @ self.prototypes.T)[:, 0, :]
 
 
 @dataclass(frozen=True)
 class EntropyGate:
     """Per-batch gating parameters.
 
-    h_max is log(num_classes); h_base = tau_ent * h_max is the entropy
-    threshold below which non-confident samples may still be selected.
+    Derived, not stored: h_max = log(num_classes), and h_base = tau_ent *
+    h_max, the entropy below which non-confident samples may be selected.
     """
 
     tau: float
     tau_ent: float
     num_classes: int
-    h_max: float
-    h_base: float
     w_min: float
 
     def __post_init__(self):
@@ -137,19 +125,19 @@ class EntropyGate:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
         if not 0.0 <= self.w_min <= 1.0:
             raise ValueError(f"w_min must be in [0, 1], got {self.w_min}")
-        if self.h_max != math.log(self.num_classes):
-            raise ValueError("h_max must equal log(num_classes)")
-        if self.h_base != self.tau_ent * self.h_max:
-            raise ValueError("h_base must equal tau_ent * h_max")
-        if not 0.0 < self.h_base <= self.h_max:
-            raise ValueError("h_base must lie in (0, h_max]")
+
+    @property
+    def h_max(self) -> float:
+        return math.log(self.num_classes)
+
+    @property
+    def h_base(self) -> float:
+        return self.tau_ent * self.h_max
 
     @classmethod
     def for_classes(cls, num_classes: int, tau: float, tau_ent: float,
                     w_min: float = 0.2) -> "EntropyGate":
-        h_max = math.log(num_classes)
-        return cls(tau=tau, tau_ent=tau_ent, num_classes=num_classes,
-                   h_max=h_max, h_base=tau_ent * h_max, w_min=w_min)
+        return cls(tau=tau, tau_ent=tau_ent, num_classes=num_classes, w_min=w_min)
 
 
 @dataclass(frozen=True)
@@ -167,9 +155,9 @@ class PseudoLabelDecision:
 def class_probabilities(z_w, bank: PrototypeBank, t_prime: float) -> np.ndarray:
     """Class probabilities for an (n, d) block of unit embeddings.
 
-    Row-wise softmax over the prototype cosines at temperature t_prime. The
-    (n, K) result has its columns indexed by class id (not by prototype
-    row), and each row is bit-identical to that row passed on its own.
+    Row-wise softmax over the prototype cosines at temperature t_prime.
+    Column k of the (n, K) result is class k, and each row is bit-identical
+    to that row passed on its own.
     """
     z = as_finite_array(z_w, "embedding")
     if z.ndim != 2 or z.shape[1] != bank.dim:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import AugmentationPolicy, CsvFormatError, Dataset, augment
+from .data import AugmentationPolicy, Dataset, augment, read_table
 from .encoder import EncoderConfig, MlpEncoder, OptimizerState, update_prototypes
 from .evaluate import evaluate
 from .losses import ContrastiveBatch, ssc_e_loss, ssc_loss
@@ -135,14 +135,11 @@ class TrainConfig:
             raise ConfigError(str(exc)) from None
 
     def as_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["hidden_dims"] = list(self.hidden_dims)
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        data = dict(data)
-        data["hidden_dims"] = tuple(data.get("hidden_dims", ()))
+        """Inverse of as_dict; hidden_dims may come back as a list (JSON)."""
         return cls(**data)
 
 
@@ -305,33 +302,16 @@ def read_metrics(path):
     Row values stay strings; empty test_acc comes back as ''.
     """
     columns = METRICS_HEADER.split(",")
+    comments = []
+    rows = read_table(path, lambda cells: None if cells == columns else
+                      f"expected metrics header {METRICS_HEADER!r}", comments)
+    next(rows)
+    rows = [dict(zip(columns, cells)) for _, cells in rows]
     meta = {}
-    rows = []
-    header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, sep, value = body.partition("=")
-                if sep:
-                    meta[key.strip()] = value.strip()
-                continue
-            if not line:
-                continue
-            if not header_seen:
-                if line != METRICS_HEADER:
-                    raise CsvFormatError(path, number,
-                                         f"expected metrics header {METRICS_HEADER!r}")
-                header_seen = True
-                continue
-            cells = line.split(",")
-            if len(cells) != len(columns):
-                raise CsvFormatError(path, number,
-                                     f"expected {len(columns)} columns, found {len(cells)}")
-            rows.append(dict(zip(columns, cells)))
-    if not header_seen:
-        raise CsvFormatError(path, None, "metrics header not found")
+    for body in comments:
+        key, sep, value = body.partition("=")
+        if sep:
+            meta[key.strip()] = value.strip()
     return meta, rows
 
 
@@ -389,7 +369,7 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     """One contrastive batch of N = B + 2*mu*B + K rows.
 
     Layout: [labeled | strong view 1 | strong view 2 | prototypes], labels
-    [true | assigned | assigned | class ids], weights [1 | lambda | lambda | 1].
+    [true | assigned | assigned | 0..K-1], weights [1 | lambda | lambda | 1].
     Labeled inputs are not augmented. The weak view exists only long enough
     to produce pseudo-label decisions. Both strong views of unlabeled
     sample i share its decision's label and weight.
@@ -422,8 +402,7 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
 
     k = state.bank.num_classes
     embeddings = np.vstack([z_lab, z_s1, z_s2, state.bank.prototypes])
-    labels = np.concatenate([labeled_y[lab_idx], labels_u, labels_u,
-                             state.bank.class_ids])
+    labels = np.concatenate([labeled_y[lab_idx], labels_u, labels_u, np.arange(k)])
     weights = np.concatenate([np.ones(b), weights_u, weights_u, np.ones(k)])
     anchor_mask = None
     if config.positives_only:

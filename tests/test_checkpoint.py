@@ -1,5 +1,6 @@
 """Tests for bit-exact checkpoint persistence and resume."""
 
+import dataclasses
 import json
 import os
 
@@ -19,6 +20,7 @@ from sscent import (
     train,
     train_step,
 )
+from sscent.checkpoint import FORMAT_VERSION
 
 
 def fixture_dataset(seed=0):
@@ -48,7 +50,6 @@ def test_round_trip_restores_everything_bit_exactly(tmp_path):
     for a, b in zip(back.opt.velocities, state.opt.velocities):
         assert np.array_equal(a, b)
     assert np.array_equal(back.bank.prototypes, state.bank.prototypes)
-    assert np.array_equal(back.bank.class_ids, state.bank.class_ids)
     assert np.array_equal(back.proto_opt.velocities[0],
                           state.proto_opt.velocities[0])
     assert back.rng.bit_generator.state == state.rng.bit_generator.state
@@ -56,6 +57,64 @@ def test_round_trip_restores_everything_bit_exactly(tmp_path):
     # history keeps both blank and recorded eval entries
     accs = [m.test_acc for m in back.history]
     assert any(a is None for a in accs) and any(a is not None for a in accs)
+
+
+def test_format_2_round_trip_with_every_config_key_changed(tmp_path):
+    cfg = TrainConfig(
+        labeled_batch_size=3, mu=2, temperature=0.25, eta0=0.05, momentum=0.5,
+        epochs=2, steps_per_epoch=3, seed=11, method="ssc", eval_every=2,
+        checkpoint_every=4, t_prime=0.2, tau=0.9, tau_ent=0.5, w_min=0.3,
+        lambda_reject=0.1, gate_enabled=False, gate_cutoff_fraction=0.5,
+        positives_only=True, hidden_dims=(), embed_dim=5, activation="softplus",
+        weak_sigma=0.05, strong_sigma=0.4, strong_dropout=0.1)
+    default = TrainConfig()
+    fields = dataclasses.fields(TrainConfig)
+    assert len(fields) == 25
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields)
+    ds = fixture_dataset()
+    state, _ = train(cfg, ds)
+    path = tmp_path / "all.npz"
+    save_checkpoint(path, cfg, state)
+
+    with np.load(path, allow_pickle=False) as npz:
+        files = set(npz.files)
+        meta = npz["meta"]
+    assert FORMAT_VERSION == 2
+    assert meta.dtype.kind == "S"  # ASCII bytes, one byte per character
+    assert json.loads(meta.item().decode("ascii"))["format_version"] == 2
+    assert files == {"meta", "param_0", "param_1", "vel_0", "vel_1",
+                     "prototypes", "proto_vel"}
+
+    back_cfg, back = load_checkpoint(path)
+    assert back_cfg == cfg
+    assert back_cfg.hidden_dims == ()
+    for a, b in zip(back.encoder.parameters(), state.encoder.parameters()):
+        assert np.array_equal(a, b)
+    assert np.array_equal(back.bank.prototypes, state.bank.prototypes)
+    assert back.rng.bit_generator.state == state.rng.bit_generator.state
+    assert back.history == state.history
+
+
+def test_format_1_checkpoint_rejected(tmp_path):
+    # format 1 stored the meta JSON as a NumPy unicode string and kept a
+    # class_ids entry; it reads back but is refused by its version
+    ds = fixture_dataset()
+    cfg = fixture_config()
+    state, _ = train(cfg, ds)
+    path = tmp_path / "v2.npz"
+    save_checkpoint(path, cfg, state)
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(arrays["meta"].item())
+    meta["format_version"] = 1
+    arrays["meta"] = np.array(json.dumps(meta))
+    arrays["class_ids"] = np.arange(3)
+    old = tmp_path / "v1.npz"
+    with open(old, "wb") as fh:
+        np.savez(fh, **arrays)
+
+    with pytest.raises(ValueError, match=r"format 1 not supported \(expected 2\)"):
+        load_checkpoint(old)
 
 
 def test_restored_rng_continues_the_same_stream(tmp_path):

@@ -4,6 +4,8 @@ Everything drives sscent.cli.main() in-process so exit codes, stdout, and
 file artifacts can be asserted without subprocesses.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -374,6 +376,56 @@ def test_eval_missing_checkpoint_is_io_error(data_csv, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(tmp_path / "ghost.npz"),
                "--data", data_csv])
     assert rc == 2
+
+
+def _damaged_checkpoint(good, tmp_path, damage):
+    path = tmp_path / f"{damage}.npz"
+    if damage == "truncated":
+        path.write_bytes(good.read_bytes()[:-40])
+    elif damage == "empty":
+        path.write_bytes(b"")
+    else:  # an .npz without its meta entry
+        with np.load(good, allow_pickle=False) as npz:
+            arrays = {k: npz[k] for k in npz.files if k != "meta"}
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+    return path
+
+
+def _argv(command, ckpt, data_csv):
+    if command == "eval":
+        return ["eval", "--checkpoint", str(ckpt), "--data", data_csv]
+    return ["train", "--data", data_csv, "--resume", str(ckpt)]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "empty", "no_meta"])
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_broken_checkpoint_is_a_one_line_format_error(trained, data_csv, tmp_path,
+                                                      capsys, command, damage):
+    ckpt = _damaged_checkpoint(trained["ckpt"], tmp_path, damage)
+    capsys.readouterr()
+    rc = main(_argv(command, ckpt, data_csv))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {ckpt}: not a complete checkpoint")
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_checkpoint_of_another_format_version_fails_validation(trained, data_csv, tmp_path,
+                                                               capsys, command):
+    with np.load(trained["ckpt"], allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(arrays["meta"].item())
+    meta["format_version"] = 1
+    arrays["meta"] = np.array(json.dumps(meta).encode())
+    ckpt = tmp_path / "v1.npz"
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    rc = main(_argv(command, ckpt, data_csv))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: checkpoint format 1 not supported (expected 2)\n"
 
 
 # ------------------------------------------------------------- gradcheck

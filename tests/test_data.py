@@ -13,6 +13,8 @@ from sscent import (
     save_csv,
     split_dataset,
 )
+from sscent.cli import _load_prob_rows
+from sscent.trainer import METRICS_HEADER, read_metrics
 
 
 def ratio_fixture(ratio=10.0, per_class=60, seed=0, dim=6, classes=3):
@@ -294,6 +296,42 @@ def test_csv_bad_header_rejected(tmp_path):
     with pytest.raises(CsvFormatError) as err:
         load_csv(path)
     assert err.value.line_number == 2
+
+
+def test_csv_blank_first_line_is_skipped(tmp_path):
+    # blank lines are skipped everywhere, the first line included
+    path = tmp_path / "lead.csv"
+    path.write_text("\nfeat_0,feat_1,label,split\n0.1,0.2,0,labeled\n")
+    ds = load_csv(path)
+    assert ds.features.tolist() == [[0.1, 0.2]]
+    assert ds.split.tolist() == ["labeled"]
+
+
+# the three CSV formats: (reader, bad header, good header, a good row)
+CSV_FORMATS = {
+    "dataset": (load_csv, "f0,f1,label,split", "feat_0,feat_1,label,split",
+                "0.1,0.2,0,labeled"),
+    "metrics": (read_metrics, "step,loss", METRICS_HEADER, "0,0,0.5,1.0,1,0,1.0,"),
+    "probabilities": (_load_prob_rows, "q_0,q_1", "p_0,p_1", "0.5,0.5"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CSV_FORMATS))
+def test_csv_header_error_comes_before_row_errors(tmp_path, fmt):
+    read, bad_header, header, row = CSV_FORMATS[fmt]
+    path = tmp_path / f"{fmt}.csv"
+    # line 3 is a bad header, line 4 a row of the wrong width
+    path.write_text(f"# note = x\n\n{bad_header}\n1,2,3,4,5,6,7,8,9\n")
+    with pytest.raises(CsvFormatError) as err:
+        read(path)
+    assert err.value.line_number == 3
+    # a good header among comments and blank lines: the bad row keeps its
+    # own line number (6), after the good rows before it are read
+    path.write_text(f"# note = x\n{header}\n\n{row}\n# later\n1,2,3,4,5,6,7,8,9\n{row}\n")
+    with pytest.raises(CsvFormatError) as err:
+        read(path)
+    assert err.value.line_number == 6
+    assert "line 6: expected" in str(err.value)
 
 
 def test_csv_missing_file_raises_oserror(tmp_path):

@@ -55,7 +55,7 @@ def test_evaluate_perfect_when_prototypes_are_class_embeddings():
     for c in range(3):
         z, _ = enc.forward(ds.features[ds.labels == c][:1])
         protos.append(z[0])
-    bank = PrototypeBank(prototypes=np.stack(protos), class_ids=np.arange(3))
+    bank = PrototypeBank(prototypes=np.stack(protos))
     acc = evaluate(enc, bank, ds.features, ds.labels, t_prime=0.1)
     assert acc == 1.0
 
@@ -88,8 +88,7 @@ def test_evaluate_matches_direct_recomputation():
     acc = evaluate(state.encoder, state.bank, ds.test_features(),
                    ds.test_labels(), t_prime=0.1)
     z, _ = state.encoder.forward(ds.test_features())
-    order = np.argsort(state.bank.class_ids)
-    cosines = z @ state.bank.prototypes[order].T
+    cosines = z @ state.bank.prototypes.T
     expected = float(np.mean(np.argmax(cosines, axis=1) == ds.test_labels()))
     assert acc == expected
 
@@ -101,8 +100,7 @@ def test_evaluate_ties_go_to_lowest_class():
     enc = MlpEncoder(EncoderConfig(input_dim=3, hidden_dims=(4,), embed_dim=2),
                      rng)
     p = unit_rows(rng, 1, 2)[0]
-    bank = PrototypeBank(prototypes=np.stack([p, p, p]),
-                         class_ids=np.array([0, 1, 2]))
+    bank = PrototypeBank(prototypes=np.stack([p, p, p]))
     features = rng.normal(size=(10, 3))
     assert evaluate(enc, bank, features, np.zeros(10, dtype=int), 0.1) == 1.0
     assert evaluate(enc, bank, features, np.full(10, 2), 0.1) == 0.0

@@ -17,7 +17,8 @@ from sscent import (
     ssc_loss,
 )
 
-from sscent.losses import _evaluate, _pair_factors
+from sscent.encoder import EncoderConfig, MlpEncoder
+from sscent.losses import _evaluate, _pair_factors, finite_difference_error
 
 from conftest import circle_batch, random_batch, unit_rows
 
@@ -699,6 +700,32 @@ def test_grad_check_epsilon_domain():
         grad_check(batch, "ssc", epsilon=1e-2)
     with pytest.raises(ValueError):
         grad_check(batch, "nonsense")
+
+
+def test_finite_differences_leave_inputs_bit_identical():
+    eps = 1e-5
+    batch = random_batch(np.random.default_rng(45), max_size=10)
+    embeddings = batch.embeddings.copy()
+    assert grad_check(batch, "ssc-e", epsilon=eps) < 1e-4
+    assert np.array_equal(batch.embeddings, embeddings)
+
+    rng = np.random.default_rng(46)
+    enc = MlpEncoder(EncoderConfig(input_dim=5, hidden_dims=(8,), embed_dim=4), rng)
+    x = rng.normal(size=(6, 5))
+    batch = ContrastiveBatch(enc.forward(x)[0], np.array([0, 0, 1, 1, 2, 2]),
+                             rng.uniform(0.2, 1.0, size=6), 0.3)
+
+    def value():
+        return ssc_loss(ContrastiveBatch(enc.forward(x)[0], batch.labels,
+                                         batch.weights, 0.3)).value
+
+    params = [p.copy() for p in enc.parameters()]
+    # stepping +eps, -2 eps, +eps would not bring these entries back
+    assert any(((v + eps) - 2 * eps) + eps != v for p in params for v in p.ravel())
+    grads = enc.backward(enc.forward(x)[1], ssc_loss(batch).grad)
+    assert finite_difference_error(enc.parameters(), grads, value, eps) < 1e-4
+    for p, before in zip(enc.parameters(), params):
+        assert np.array_equal(p, before)
 
 
 def test_gradient_zero_on_dead_coordinate():

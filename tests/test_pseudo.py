@@ -52,18 +52,9 @@ def fixture_gate():
 def test_bank_requires_unit_rows():
     rng = np.random.default_rng(0)
     protos = unit_rows(rng, 3, 5)
-    PrototypeBank(prototypes=protos, class_ids=np.arange(3))
+    PrototypeBank(prototypes=protos)
     with pytest.raises(ValueError):
-        PrototypeBank(prototypes=protos * 2.0, class_ids=np.arange(3))
-
-
-def test_bank_requires_class_id_permutation():
-    rng = np.random.default_rng(1)
-    protos = unit_rows(rng, 3, 4)
-    with pytest.raises(ValueError):
-        PrototypeBank(prototypes=protos, class_ids=np.array([0, 1, 1]))
-    with pytest.raises(ValueError):
-        PrototypeBank(prototypes=protos, class_ids=np.array([0, 1, 3]))
+        PrototypeBank(prototypes=protos * 2.0)
 
 
 def test_bank_random_unit_and_deterministic():
@@ -72,20 +63,15 @@ def test_bank_random_unit_and_deterministic():
     assert np.array_equal(a.prototypes, b.prototypes)
     norms = np.linalg.norm(a.prototypes, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    assert np.array_equal(a.class_ids, np.arange(4))
 
 
 def test_scores_by_class_reorders_shuffled_rows():
-    p_a = np.array([1.0, 0.0])
-    p_b = np.array([0.0, 1.0])
-    # row 0 stores class 1, row 1 stores class 0
-    bank = PrototypeBank(prototypes=np.stack([p_a, p_b]),
-                         class_ids=np.array([1, 0]))
-    z = np.array([[1.0, 0.0]])
-    scores = bank.scores_by_class(z)
-    # column k must belong to class k: class 0 lives in row 1 (p_b)
-    assert scores[0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert scores[0, 1] == pytest.approx(1.0, abs=1e-15)
+    # rows hold e1, e2, e0: a bank that is not symmetric, so reading it
+    # transposed (or in any other row order) moves the scores
+    bank = PrototypeBank(prototypes=np.eye(3)[[1, 2, 0]])
+    z = np.array([[0.6, 0.8, 0.0]])
+    # column k must be the cosine with prototype row k
+    assert bank.scores_by_class(z).tolist() == [[0.8, 0.0, 0.6]]
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +83,6 @@ def test_for_classes_derived_quantities_exact():
     assert g.h_max == math.log(5)
     assert g.h_base == 0.3 * math.log(5)
     assert g.w_min == 0.2
-
-
-def test_gate_rejects_inconsistent_h_max():
-    with pytest.raises(ValueError):
-        EntropyGate(tau=0.9, tau_ent=0.3, num_classes=5,
-                    h_max=math.log(4), h_base=0.3 * math.log(4), w_min=0.2)
 
 
 def test_gate_parameter_domains():
@@ -120,7 +100,7 @@ def test_gate_parameter_domains():
 
 
 def test_class_probabilities_two_orthogonal_prototypes():
-    bank = PrototypeBank(prototypes=np.eye(2), class_ids=np.arange(2))
+    bank = PrototypeBank(prototypes=np.eye(2))
     probs = class_probabilities(np.array([[1.0, 0.0]]), bank, t_prime=1.0)
     assert probs.shape == (1, 2)
     # softmax([1, 0]) at T=1, computed at 50-digit precision
@@ -131,7 +111,7 @@ def test_class_probabilities_two_orthogonal_prototypes():
 def test_class_probabilities_two_logits_frozen():
     # a two-row block: scores [1, 0] and [0, 1] at T' = 1 give the frozen
     # softmax([1, 0]) values, the second row in reverse order
-    bank = PrototypeBank(prototypes=np.eye(2), class_ids=np.arange(2))
+    bank = PrototypeBank(prototypes=np.eye(2))
     probs = class_probabilities(np.eye(2), bank, t_prime=1.0)
     assert probs.shape == (2, 2)
     expected = np.array([0.7310585786300049, 0.2689414213699951])
@@ -143,7 +123,7 @@ def test_class_probabilities_frozen_three_class():
     # z = (p0 + 0.5 p1)/sqrt(1.25) against the standard basis, T' = 0.1;
     # cosines are (2/sqrt5, 1/sqrt5, 0), probabilities frozen from a
     # 50-digit computation
-    bank = PrototypeBank(prototypes=np.eye(3), class_ids=np.arange(3))
+    bank = PrototypeBank(prototypes=np.eye(3))
     z = (np.array([1.0, 0.0, 0.0]) + 0.5 * np.array([0.0, 1.0, 0.0]))
     z = z / np.sqrt(1.25)
     probs = class_probabilities(z[None, :], bank, t_prime=0.1)[0]
@@ -160,7 +140,7 @@ def test_class_probabilities_sharp_temperature_frozen():
         [0.9, math.sqrt(0.19), 0.0, 0.0],
         [0.1, 0.0, math.sqrt(0.99), 0.0],
         [0.0, 0.0, 0.0, 1.0],
-    ]), class_ids=np.arange(3))
+    ]))
     probs = class_probabilities(np.array([[1.0, 0.0, 0.0, 0.0]]), bank, t_prime=0.1)[0]
     expected = np.array([0.999541338035342,
                          0.00033530876395452874,
@@ -170,8 +150,7 @@ def test_class_probabilities_sharp_temperature_frozen():
 
 def test_class_probabilities_extreme_scores_finite():
     # cosines (1, 0, -1) at T' = 1e-3 are scaled scores (1000, 0, -1000)
-    bank = PrototypeBank(prototypes=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
-                         class_ids=np.arange(3))
+    bank = PrototypeBank(prototypes=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
     probs = class_probabilities(np.array([[1.0, 0.0]]), bank, t_prime=1e-3)
     assert np.all(np.isfinite(probs))
     assert abs(probs.sum() - 1.0) < 1e-12
@@ -180,7 +159,7 @@ def test_class_probabilities_extreme_scores_finite():
 
 
 def test_class_probabilities_bad_temperature_rejected():
-    bank = PrototypeBank(prototypes=np.eye(2), class_ids=np.arange(2))
+    bank = PrototypeBank(prototypes=np.eye(2))
     for t in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="temperature must be positive"):
             class_probabilities(np.array([[1.0, 0.0]]), bank, t_prime=t)
@@ -188,30 +167,31 @@ def test_class_probabilities_bad_temperature_rejected():
 
 def test_class_probabilities_identical_prototypes_uniform():
     p = np.array([0.6, 0.8])
-    bank = PrototypeBank(prototypes=np.stack([p, p, p]),
-                         class_ids=np.array([2, 0, 1]))
+    bank = PrototypeBank(prototypes=np.stack([p, p, p]))
     probs = class_probabilities(np.array([[0.0, 1.0]]), bank, t_prime=0.1)
     assert np.max(np.abs(probs - 1.0 / 3.0)) < 1e-15
 
 
 def test_class_probabilities_constant_scores_uniform():
     # distinct prototypes, each at the same cosine 1/sqrt(3) to z, T' = 0.2
-    bank = PrototypeBank(prototypes=np.eye(3), class_ids=np.arange(3))
+    bank = PrototypeBank(prototypes=np.eye(3))
     z = np.full((1, 3), 1.0 / math.sqrt(3.0))
     probs = class_probabilities(z, bank, t_prime=0.2)
     assert np.max(np.abs(probs - 1.0 / 3.0)) < 1e-15
 
 
 def test_class_probabilities_respects_class_id_order():
-    bank = PrototypeBank(prototypes=np.eye(2)[::-1].copy(),
-                         class_ids=np.array([1, 0]))
-    probs = class_probabilities(np.array([[1.0, 0.0]]), bank, t_prime=1.0)[0]
-    # class 0's prototype is e0 (stored in row 1), so class 0 wins
-    assert probs[0] > probs[1]
+    # rows hold e1, e2, e0 (not symmetric): the cosines of z with rows 0, 1, 2
+    # are 0.8, 0.0, 0.6, and column k of the probabilities is class k = row k
+    bank = PrototypeBank(prototypes=np.eye(3)[[1, 2, 0]])
+    probs = class_probabilities(np.array([[0.6, 0.8, 0.0]]), bank, t_prime=1.0)[0]
+    assert probs[0] > probs[2] > probs[1]
+    expected = np.exp([0.8, 0.0, 0.6]) / np.exp([0.8, 0.0, 0.6]).sum()
+    assert np.max(np.abs(probs - expected)) < 1e-15
 
 
 def test_class_probabilities_input_validation():
-    bank = PrototypeBank(prototypes=np.eye(3), class_ids=np.arange(3))
+    bank = PrototypeBank(prototypes=np.eye(3))
     with pytest.raises(ValueError):
         class_probabilities(np.array([[1.0, 0.0]]), bank, t_prime=1.0)
     with pytest.raises(ValueError):
@@ -224,7 +204,7 @@ def test_class_probabilities_input_validation():
 
 
 def test_class_probabilities_errors_name_the_bad_row():
-    bank = PrototypeBank(prototypes=np.eye(3), class_ids=np.arange(3))
+    bank = PrototypeBank(prototypes=np.eye(3))
     z = np.eye(3)
     z[1] *= 2.0
     with pytest.raises(ValueError, match=r"embedding row 1 must be unit norm \(got 2\.0\)"):

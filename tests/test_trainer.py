@@ -254,7 +254,7 @@ def test_assemble_batch_size_and_blocks():
     assert np.all(batch.weights[-3:] == 1.0)
     # prototype rows are the bank itself with class labels
     assert np.array_equal(batch.embeddings[-3:], state.bank.prototypes)
-    assert np.array_equal(batch.labels[-3:], state.bank.class_ids)
+    assert np.array_equal(batch.labels[-3:], np.arange(3))
     # both strong views share each decision's label and weight
     for i, d in enumerate(decisions):
         assert batch.labels[2 + i] == d.assigned_label
@@ -555,6 +555,23 @@ def test_metrics_header_and_blank_test_acc(tmp_path):
     assert text[1] == METRICS_HEADER
     assert text[2] == "0,0,0.5,1.25,3,1,0.75,"
     assert text[3] == "1,0,0.25,1.0,4,0,1.0,0.875"
+
+
+def test_read_metrics_collects_comments_after_the_header(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(f"# train.seed = 3\n{METRICS_HEADER}\n0,0,0.5,1.0,1,0,1.0,\n"
+                    "# eval.t_prime = 0.5\n#no key here\n1,0,0.5,1.0,1,0,1.0,0.75\n")
+    meta, rows = read_metrics(path)
+    assert meta == {"train.seed": "3", "eval.t_prime": "0.5"}
+    assert [r["test_acc"] for r in rows] == ["", "0.75"]
+
+
+def test_read_metrics_comment_only_file_is_empty(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("# train.seed = 3\n\n")
+    with pytest.raises(CsvFormatError, match="file is empty") as err:
+        read_metrics(path)
+    assert err.value.line_number is None
 
 
 def test_read_metrics_rejects_malformed_files(tmp_path):
