@@ -28,7 +28,7 @@ FORMAT_VERSION = 2
 
 
 class CheckpointFormatError(ValueError):
-    """The file is not a complete checkpoint: empty, truncated, or missing an entry."""
+    """The file is not a complete checkpoint: not a zip, truncated, or missing an entry."""
 
 
 def save_checkpoint(path, config: TrainConfig, state: TrainState) -> None:
@@ -61,12 +61,12 @@ def load_checkpoint(path):
 
     The restored state continues training exactly where the saved one
     stopped: parameters, velocities, rng stream, and history all match
-    bit for bit. An empty, truncated or incomplete file raises
+    bit for bit. A file that is not a complete zip checkpoint raises
     CheckpointFormatError, and one of another format version ValueError.
     """
     try:
-        # np.load on a path leaks its file handle when the zip is unreadable
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+        # not np.load: it would read a non-zip file as a .npy or a pickle
+        with np.lib.npyio.NpzFile(path, allow_pickle=False) as npz:
             meta = json.loads(npz["meta"].item())
             version = meta.get("format_version")
             if version != FORMAT_VERSION:

@@ -349,11 +349,11 @@ def cmd_gate_sim(args) -> int:
         for tau_ent in args.tau_ent:
             gate = EntropyGate.for_classes(num_classes, tau, tau_ent, args.w_min)
             decisions = assign_pseudo_labels(probs, gate, args.lambda_reject, True)
-            for d in decisions:
+            for i, d in enumerate(decisions):
                 out_lines.append(",".join([
                     repr(float(tau)),
                     repr(float(tau_ent)),
-                    str(d.sample_index),
+                    str(i),
                     d.kind.value,
                     str(d.assigned_label),
                     repr(float(d.weight)),

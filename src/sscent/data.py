@@ -221,22 +221,27 @@ class AugmentationPolicy:
 
 
 def augment(v, policy: AugmentationPolicy, kind: str, rng: np.random.Generator):
-    """One augmented copy of a single vector.
+    """One augmented copy of a vector, or of each row of an (n, d) block.
 
     weak: v + N(0, weak_sigma^2). strong: v + N(0, strong_sigma^2), then
     each coordinate independently zeroed with strong_dropout_prob. Two
     strong calls on the same rng realize two independent views. Draw
-    order per call: noise vector, then (strong only) dropout uniforms.
+    order: weak draws one noise block, which fills row after row; strong
+    draws, row after row, the noise row and then its dropout uniforms. So
+    a block call equals one call per row, in draws and in bits.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"augment expects a single vector, got shape {v.shape}")
+    if v.ndim not in (1, 2):
+        raise ValueError(f"augment expects a vector or an (n, d) block, got shape {v.shape}")
     if kind == "weak":
         return v + rng.normal(0.0, policy.weak_noise_sigma, size=v.shape)
     if kind == "strong":
-        out = v + rng.normal(0.0, policy.strong_noise_sigma, size=v.shape)
-        drop = rng.random(size=v.shape) < policy.strong_dropout_prob
-        out[drop] = 0.0
+        noise, uniforms = np.empty((2,) + v.shape)
+        for noise_row, uniform_row in zip(*np.atleast_2d(noise, uniforms)):
+            noise_row[...] = rng.normal(0.0, policy.strong_noise_sigma, size=noise_row.shape)
+            rng.random(out=uniform_row)
+        out = v + noise
+        out[uniforms < policy.strong_dropout_prob] = 0.0
         return out
     raise ValueError(f"unknown augmentation kind {kind!r}, expected 'weak' or 'strong'")
 

@@ -105,10 +105,6 @@ class MlpEncoder:
     def num_layers(self) -> int:
         return len(self.weights)
 
-    @property
-    def version(self) -> int:
-        return self._version
-
     def parameters(self) -> list[np.ndarray]:
         """Live references, interleaved [W0, b0, W1, b1, ...]."""
         out = []

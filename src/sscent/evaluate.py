@@ -55,22 +55,21 @@ def pseudo_metrics(decisions, hidden_labels):
     if len(decisions) != hidden.shape[0]:
         raise ValueError(
             f"{len(decisions)} decisions vs {hidden.shape[0]} labels")
-    if not decisions:
+    if len(decisions) == 0:
         raise ValueError("no decisions to score")
-    selected = [d for d in decisions if d.kind is not DecisionKind.REJECTED]
-    coverage = len(selected) / len(decisions)
-    if not selected:
+    selected = decisions["kind"] != DecisionKind.REJECTED
+    coverage = float(np.mean(selected))
+    if not selected.any():
         return coverage, None
-    correct = sum(d.assigned_label == hidden[d.sample_index] for d in selected)
-    return coverage, correct / len(selected)
+    correct = decisions["assigned_label"][selected] == hidden[selected]
+    return coverage, float(np.mean(correct))
 
 
 def weight_histogram(decisions, bins: int = 10) -> np.ndarray:
     """Counts of decision weights binned uniformly over [0, 1]."""
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    weights = [d.weight for d in decisions]
-    counts, _ = np.histogram(weights, bins=bins, range=(0.0, 1.0))
+    counts, _ = np.histogram(decisions["weight"], bins=bins, range=(0.0, 1.0))
     return counts
 
 
@@ -99,7 +98,7 @@ def build_report(encoder, bank: PrototypeBank, dataset: Dataset,
     decisions = assign_pseudo_labels(probs, gate, lambda_reject,
                                      entropy_gate_enabled)
     coverage, precision = pseudo_metrics(decisions, dataset.unlabeled_true_labels())
-    kinds = [d.kind for d in decisions]
+    kinds = decisions["kind"].tolist()
     accuracy = evaluate(encoder, bank, dataset.test_features(),
                         dataset.test_labels(), t_prime)
     return EvalReport(
@@ -107,9 +106,9 @@ def build_report(encoder, bank: PrototypeBank, dataset: Dataset,
         pseudo_coverage=coverage,
         pseudo_precision=precision,
         weight_histogram=weight_histogram(decisions, bins=histogram_bins),
-        confident=sum(k is DecisionKind.CONFIDENT for k in kinds),
-        entropy_selected=sum(k is DecisionKind.ENTROPY_SELECTED for k in kinds),
-        rejected=sum(k is DecisionKind.REJECTED for k in kinds),
+        confident=kinds.count(DecisionKind.CONFIDENT),
+        entropy_selected=kinds.count(DecisionKind.ENTROPY_SELECTED),
+        rejected=kinds.count(DecisionKind.REJECTED),
     )
 
 

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DECISION_DTYPE",
     "DecisionKind",
     "EntropyGate",
     "GateDegenerateError",
     "PROB_SUM_TOL",
     "PROTOTYPE_NORM_TOL",
     "PrototypeBank",
-    "PseudoLabelDecision",
     "adaptive_weight",
     "assign_pseudo_labels",
     "class_probabilities",
@@ -140,18 +140,6 @@ class EntropyGate:
         return cls(tau=tau, tau_ent=tau_ent, num_classes=num_classes, w_min=w_min)
 
 
-@dataclass(frozen=True)
-class PseudoLabelDecision:
-    """Outcome for one unlabeled sample within a batch."""
-
-    sample_index: int
-    kind: DecisionKind
-    assigned_label: int
-    weight: float
-    entropy: float
-    max_prob: float
-
-
 def class_probabilities(z_w, bank: PrototypeBank, t_prime: float) -> np.ndarray:
     """Class probabilities for an (n, d) block of unit embeddings.
 
@@ -195,13 +183,21 @@ def adaptive_weight(h_i, e_min: float, h_base: float, w_min: float):
     return float(w) if w.ndim == 0 else w
 
 
-# decision kinds are coded 0, 1, 2 (indices into this tuple) while the block is whole-array
-_KINDS = (DecisionKind.CONFIDENT, DecisionKind.ENTROPY_SELECTED, DecisionKind.REJECTED)
+# one record per unlabeled sample, at its sample index; np.record rows read fields
+# as attributes, and a plain ndarray (not np.recarray) reads columns by key in C
+DECISION_DTYPE = np.dtype((np.record, [("kind", object), ("assigned_label", np.int64),
+                                       ("weight", np.float64), ("entropy", np.float64),
+                                       ("max_prob", np.float64)]))
+
+_KINDS = np.array(list(DecisionKind), dtype=object)  # indexed by the kind codes 0, 1, 2
 
 
 def assign_pseudo_labels(probs, gate: EntropyGate, lambda_reject: float,
-                         entropy_gate_enabled: bool) -> list[PseudoLabelDecision]:
+                         entropy_gate_enabled: bool) -> np.ndarray:
     """Turn an (n, K) block of class probabilities into pseudo-label decisions.
+
+    Returns an array of DECISION_DTYPE records, one per input row, in input
+    order: columns by key (`decisions["weight"]`), rows by attribute.
 
     Samples whose top probability strictly exceeds gate.tau are accepted
     with weight 1; the largest entropy among them is e_min. When the gate
@@ -215,8 +211,8 @@ def assign_pseudo_labels(probs, gate: EntropyGate, lambda_reject: float,
 
     Everything else is rejected with a unique label num_classes + position
     and weight lambda_reject. Argmax ties break toward the lowest class
-    index; output order matches input order. Entropies are in nats with
-    0 * log 0 := 0; a one-hot row's entropy is -0.0.
+    index. Entropies are in nats with 0 * log 0 := 0; a one-hot row's
+    entropy is -0.0.
     """
     if not 0.0 <= lambda_reject <= 1.0:
         raise ValueError(f"lambda_reject must be in [0, 1], got {lambda_reject}")
@@ -254,7 +250,10 @@ def assign_pseudo_labels(probs, gate: EntropyGate, lambda_reject: float,
         kinds[selected] = 1
         weights = np.where(selected, gated, weights)
     labels = np.where(kinds == 2, gate.num_classes + np.arange(n), labels)
-    return [PseudoLabelDecision(i, _KINDS[k], label, w, h, p)
-            for i, (k, label, w, h, p) in enumerate(zip(
-                kinds.tolist(), labels.tolist(), weights.tolist(),
-                entropies.tolist(), max_prob.tolist()))]
+    decisions = np.zeros(n, DECISION_DTYPE)  # np.empty fills the object column row by row
+    decisions["kind"] = _KINDS[kinds]
+    decisions["assigned_label"] = labels
+    decisions["weight"] = weights
+    decisions["entropy"] = entropies
+    decisions["max_prob"] = max_prob
+    return decisions

@@ -9,8 +9,8 @@ enters the loss batch.
 All randomness flows through the single generator in TrainState. Draw
 order is fixed and documented per function so checkpointed runs resume
 bit-exactly: init consumes encoder weights then prototypes; each step
-consumes labeled indices, unlabeled indices, then the weak, first-strong,
-and second-strong noise blocks in sample order.
+consumes labeled indices, unlabeled indices, the weak view's noise block,
+then each strong view's draws (see `augment`), first view before second.
 """
 
 from __future__ import annotations
@@ -374,8 +374,12 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     to produce pseudo-label decisions. Both strong views of unlabeled
     sample i share its decision's label and weight.
 
-    Returns (batch, decisions, caches) where caches are the forward caches
-    for the labeled block and the two strong blocks, in batch order.
+    Draws labeled indices, unlabeled indices, then the weak, first-strong
+    and second-strong views of the unlabeled block, one `augment` call each.
+
+    Returns (batch, decisions, caches): the decision records of the
+    unlabeled samples in batch order, and the forward caches for the
+    labeled block and the two strong blocks.
     """
     b = config.labeled_batch_size
     mu_b = config.mu * b
@@ -383,11 +387,9 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     lab_idx = _sample_indices(rng, labeled_x.shape[0], b)
     unl_idx = _sample_indices(rng, unlabeled_x.shape[0], mu_b)
     chosen = unlabeled_x[unl_idx]
-    # one block draw: normal() fills row after row, so this consumes the
-    # stream exactly as one augment(u, policy, "weak", rng) call per row
-    weak = chosen + rng.normal(0.0, policy.weak_noise_sigma, size=chosen.shape)
-    strong1 = np.stack([augment(u, policy, "strong", rng) for u in chosen])
-    strong2 = np.stack([augment(u, policy, "strong", rng) for u in chosen])
+    weak = augment(chosen, policy, "weak", rng)
+    strong1 = augment(chosen, policy, "strong", rng)
+    strong2 = augment(chosen, policy, "strong", rng)
 
     z_lab, cache_lab = state.encoder.forward(labeled_x[lab_idx])
     z_weak, _ = state.encoder.forward(weak)
@@ -397,8 +399,8 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     probs = class_probabilities(z_weak, state.bank, config.t_prime)
     decisions = assign_pseudo_labels(probs, gate, config.lambda_reject,
                                      entropy_gate_enabled)
-    labels_u = np.array([d.assigned_label for d in decisions], dtype=np.int64)
-    weights_u = np.array([d.weight for d in decisions])
+    labels_u = decisions["assigned_label"]
+    weights_u = decisions["weight"]
 
     k = state.bank.num_classes
     embeddings = np.vstack([z_lab, z_s1, z_s2, state.bank.prototypes])
@@ -406,8 +408,7 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     weights = np.concatenate([np.ones(b), weights_u, weights_u, np.ones(k)])
     anchor_mask = None
     if config.positives_only:
-        kept = np.array([d.kind is not DecisionKind.ENTROPY_SELECTED for d in decisions],
-                        dtype=bool)
+        kept = decisions["kind"] != DecisionKind.ENTROPY_SELECTED
         anchor_mask = np.concatenate([np.ones(b, dtype=bool), kept, kept,
                                       np.ones(k, dtype=bool)])
     batch = ContrastiveBatch(embeddings=embeddings, labels=labels,
@@ -436,27 +437,21 @@ def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
     mu_b = config.mu * b
     g = result.grad
     blocks = (g[:b], g[b:b + mu_b], g[b + mu_b:b + 2 * mu_b])
-    grads = None
-    for cache, block in zip(caches, blocks):
-        part = state.encoder.backward(cache, block)
-        if grads is None:
-            grads = part
-        else:
-            for acc, p in zip(grads, part):
-                acc += p
+    parts = [state.encoder.backward(cache, block) for cache, block in zip(caches, blocks)]
+    grads = [lab + s1 + s2 for lab, s1, s2 in zip(*parts)]
     state.opt.lr = lr
     state.proto_opt.lr = lr
     state.encoder.apply_gradients(grads, state.opt)
     update_prototypes(state.bank, g[b + 2 * mu_b:], state.proto_opt)
 
-    kinds = [d.kind for d in decisions]
+    kinds = decisions["kind"].tolist()
     metrics = StepMetrics(
         step=step,
         epoch=epoch,
         lr=lr,
         loss=float(result.value),
-        confident=sum(k is DecisionKind.CONFIDENT for k in kinds),
-        entropy_selected=sum(k is DecisionKind.ENTROPY_SELECTED for k in kinds),
+        confident=kinds.count(DecisionKind.CONFIDENT),
+        entropy_selected=kinds.count(DecisionKind.ENTROPY_SELECTED),
         mean_unlabeled_weight=float(np.mean(batch.weights[b:b + mu_b])),
     )
     state.step = step + 1

@@ -384,6 +384,13 @@ def _damaged_checkpoint(good, tmp_path, damage):
         path.write_bytes(good.read_bytes()[:-40])
     elif damage == "empty":
         path.write_bytes(b"")
+    elif damage == "first_3_bytes":
+        path.write_bytes(good.read_bytes()[:3])
+    elif damage == "text":
+        path.write_text("not a checkpoint\n")
+    elif damage == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
     else:  # an .npz without its meta entry
         with np.load(good, allow_pickle=False) as npz:
             arrays = {k: npz[k] for k in npz.files if k != "meta"}
@@ -398,7 +405,8 @@ def _argv(command, ckpt, data_csv):
     return ["train", "--data", data_csv, "--resume", str(ckpt)]
 
 
-@pytest.mark.parametrize("damage", ["truncated", "empty", "no_meta"])
+@pytest.mark.parametrize("damage", ["truncated", "empty", "first_3_bytes", "text", "npy",
+                                    "no_meta"])
 @pytest.mark.parametrize("command", ["eval", "resume"])
 def test_broken_checkpoint_is_a_one_line_format_error(trained, data_csv, tmp_path,
                                                       capsys, command, damage):

@@ -223,6 +223,27 @@ def test_augment_leaves_input_untouched():
     assert np.array_equal(v, keep)
 
 
+@pytest.mark.parametrize("kind", ["weak", "strong"])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_augment_block_equals_one_call_per_row(n, kind):
+    policy = AugmentationPolicy()
+    block = np.random.default_rng(5).normal(size=(n, 6))
+    keep = block.copy()
+    rng_block, rng_rows = np.random.default_rng(11), np.random.default_rng(11)
+    out = augment(block, policy, kind, rng_block)
+    rows = np.array([augment(u, policy, kind, rng_rows) for u in block]).reshape(n, 6)
+    assert out.shape == (n, 6)
+    assert out.tobytes() == rows.tobytes()  # bit for bit, signed zeros too
+    assert rng_block.bit_generator.state == rng_rows.bit_generator.state
+    assert np.array_equal(block, keep)
+
+
+def test_augment_rejects_scalar_and_3d_input():
+    for bad in (np.float64(1.0), np.ones((2, 3, 4))):
+        with pytest.raises(ValueError, match=r"vector or an \(n, d\) block"):
+            augment(bad, AugmentationPolicy(), "strong", np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 

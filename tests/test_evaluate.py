@@ -10,7 +10,6 @@ from sscent import (
     EntropyGate,
     MlpEncoder,
     PrototypeBank,
-    PseudoLabelDecision,
     TrainConfig,
     build_report,
     evaluate,
@@ -19,17 +18,17 @@ from sscent import (
     pseudo_metrics,
     split_dataset,
     train,
-    weight_histogram,
 )
-from sscent.evaluate import format_report
+from sscent.evaluate import format_report, weight_histogram
+from sscent.pseudo import DECISION_DTYPE
 
 from conftest import unit_rows
 
 
-def make_decision(index, kind, label, weight):
-    return PseudoLabelDecision(sample_index=index, kind=kind,
-                               assigned_label=label, weight=weight,
-                               entropy=0.5, max_prob=0.9)
+def make_decisions(rows):
+    """Decision records from (kind, label, weight) rows, in sample order."""
+    records = [(kind, label, weight, 0.5, 0.9) for kind, label, weight in rows]
+    return np.array(records, dtype=DECISION_DTYPE)
 
 
 def trained_fixture(seed=0, separation=10.0):
@@ -120,30 +119,30 @@ def test_evaluate_input_validation():
 
 
 def test_pseudo_metrics_all_rejected():
-    decisions = [make_decision(i, DecisionKind.REJECTED, 5 + i, 0.2)
-                 for i in range(4)]
+    decisions = make_decisions([(DecisionKind.REJECTED, 5 + i, 0.2)
+                                for i in range(4)])
     coverage, precision = pseudo_metrics(decisions, [0, 1, 0, 1])
     assert coverage == 0.0
     assert precision is None
 
 
 def test_pseudo_metrics_all_correct():
-    decisions = [make_decision(i, DecisionKind.CONFIDENT, lab, 1.0)
-                 for i, lab in enumerate([0, 1, 2])]
+    decisions = make_decisions([(DecisionKind.CONFIDENT, lab, 1.0)
+                                for lab in [0, 1, 2]])
     coverage, precision = pseudo_metrics(decisions, [0, 1, 2])
     assert coverage == 1.0
     assert precision == 1.0
 
 
 def test_pseudo_metrics_hand_counted_mixture():
-    decisions = [
-        make_decision(0, DecisionKind.CONFIDENT, 0, 1.0),
-        make_decision(1, DecisionKind.CONFIDENT, 0, 1.0),
-        make_decision(2, DecisionKind.ENTROPY_SELECTED, 0, 0.5),
-        make_decision(3, DecisionKind.ENTROPY_SELECTED, 0, 1.0),
-        make_decision(4, DecisionKind.REJECTED, 8, 0.2),
-        make_decision(5, DecisionKind.REJECTED, 9, 0.2),
-    ]
+    decisions = make_decisions([
+        (DecisionKind.CONFIDENT, 0, 1.0),
+        (DecisionKind.CONFIDENT, 0, 1.0),
+        (DecisionKind.ENTROPY_SELECTED, 0, 0.5),
+        (DecisionKind.ENTROPY_SELECTED, 0, 1.0),
+        (DecisionKind.REJECTED, 8, 0.2),
+        (DecisionKind.REJECTED, 9, 0.2),
+    ])
     hidden = [0, 0, 1, 0, 2, 2]
     coverage, precision = pseudo_metrics(decisions, hidden)
     assert coverage == 4 / 6
@@ -151,11 +150,11 @@ def test_pseudo_metrics_hand_counted_mixture():
 
 
 def test_pseudo_metrics_validation():
-    decisions = [make_decision(0, DecisionKind.CONFIDENT, 0, 1.0)]
+    decisions = make_decisions([(DecisionKind.CONFIDENT, 0, 1.0)])
     with pytest.raises(ValueError):
         pseudo_metrics(decisions, [0, 1])
     with pytest.raises(ValueError):
-        pseudo_metrics([], [])
+        pseudo_metrics(make_decisions([]), [])
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +162,12 @@ def test_pseudo_metrics_validation():
 
 
 def test_weight_histogram_known_placement():
-    decisions = [
-        make_decision(0, DecisionKind.REJECTED, 5, 0.2),
-        make_decision(1, DecisionKind.ENTROPY_SELECTED, 0, 0.55),
-        make_decision(2, DecisionKind.CONFIDENT, 1, 1.0),
-        make_decision(3, DecisionKind.CONFIDENT, 1, 1.0),
-    ]
+    decisions = make_decisions([
+        (DecisionKind.REJECTED, 5, 0.2),
+        (DecisionKind.ENTROPY_SELECTED, 0, 0.55),
+        (DecisionKind.CONFIDENT, 1, 1.0),
+        (DecisionKind.CONFIDENT, 1, 1.0),
+    ])
     counts = weight_histogram(decisions, bins=10)
     assert counts.sum() == 4
     assert counts[2] == 1   # 0.2 lands in [0.2, 0.3)
@@ -178,8 +177,8 @@ def test_weight_histogram_known_placement():
 
 def test_weight_histogram_bins_validation():
     with pytest.raises(ValueError):
-        weight_histogram([], bins=0)
-    assert weight_histogram([], bins=4).sum() == 0
+        weight_histogram(make_decisions([]), bins=0)
+    assert weight_histogram(make_decisions([]), bins=4).sum() == 0
 
 
 # ---------------------------------------------------------------------------

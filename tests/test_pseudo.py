@@ -340,7 +340,6 @@ def test_assign_gate_on_full_decision_table():
     assert decisions[5].weight == 0.2
     for d, h in zip(decisions, FIXTURE_ENTROPIES):
         assert abs(d.entropy - h) < 1e-12
-    assert [d.sample_index for d in decisions] == list(range(6))
     assert decisions[0].max_prob == pytest.approx(0.97, abs=1e-15)
 
 
@@ -433,11 +432,11 @@ def test_gate_on_selection_is_superset_of_gate_off():
                                        tau_ent=float(rng.uniform(0.1, 1.0)))
         on = assign_pseudo_labels(probs, gate, 0.2, entropy_gate_enabled=True)
         off = assign_pseudo_labels(probs, gate, 0.2, entropy_gate_enabled=False)
-        sel_on = {d.sample_index for d in on if d.kind != DecisionKind.REJECTED}
-        sel_off = {d.sample_index for d in off if d.kind != DecisionKind.REJECTED}
+        sel_on = {i for i, d in enumerate(on) if d.kind != DecisionKind.REJECTED}
+        sel_off = {i for i, d in enumerate(off) if d.kind != DecisionKind.REJECTED}
         assert sel_off <= sel_on
         # class labels agree wherever both select
-        lab_on = {d.sample_index: d.assigned_label for d in on}
+        lab_on = {i: d.assigned_label for i, d in enumerate(on)}
         for i in sel_off:
             assert lab_on[i] == off[i].assigned_label
 
@@ -479,7 +478,22 @@ def test_selected_weights_monotone_in_entropy_within_batch():
 def test_assignment_is_deterministic():
     a = assign_pseudo_labels(FIXTURE_PROBS, fixture_gate(), 0.2, True)
     b = assign_pseudo_labels(FIXTURE_PROBS, fixture_gate(), 0.2, True)
-    assert a == b
+    assert (a == b).all()
+
+
+def test_decision_records_and_columns_agree():
+    decisions = assign_pseudo_labels(FIXTURE_PROBS, fixture_gate(), 0.2, True)
+    names = ("kind", "assigned_label", "weight", "entropy", "max_prob")
+    assert decisions.dtype.names == names
+    assert len(decisions) == len(FIXTURE_PROBS)
+    for i, d in enumerate(decisions):
+        for name in names:
+            assert getattr(d, name) == decisions[name][i] == decisions[i][name]
+    # the kind column holds the enum members themselves
+    expected = [DecisionKind.CONFIDENT] * 2 + [DecisionKind.ENTROPY_SELECTED] * 2 \
+        + [DecisionKind.REJECTED] * 2
+    assert all(d.kind is k for d, k in zip(decisions, expected))
+    assert all(k is e for k, e in zip(decisions["kind"], expected))
 
 
 def test_sharper_temperature_concentrates_probability():

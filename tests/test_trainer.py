@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -399,6 +400,20 @@ def test_train_step_metrics_reflect_decisions():
     assert metrics.mean_unlabeled_weight == 0.25
     assert metrics.test_acc is None
     assert metrics.step == 0 and metrics.epoch == 0
+
+
+def test_train_step_counts_are_python_ints():
+    # the checkpoint's JSON encoding rejects NumPy integers
+    ds = tiny_dataset()
+    cfg = tiny_config(tau=0.4, tau_ent=1.0)
+    state, gate, policy = make_step_inputs(cfg, ds)
+    metrics = train_step(state, cfg, gate, policy, ds.labeled_features(),
+                         ds.labeled_labels(), ds.unlabeled_features(),
+                         t_total=8)
+    assert type(metrics.confident) is int
+    assert type(metrics.entropy_selected) is int
+    assert metrics.confident + metrics.entropy_selected > 0
+    json.dumps(vars(metrics))
 
 
 def test_train_step_raises_on_non_finite_loss(monkeypatch):
