@@ -12,15 +12,15 @@ never leaves a truncated checkpoint behind.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import zipfile
 
 import numpy as np
 
-from .encoder import EncoderConfig, MlpEncoder, OptimizerState
 from .pseudo import PrototypeBank
-from .trainer import StepMetrics, TrainConfig, TrainState
+from .trainer import StepMetrics, TrainConfig, TrainState, new_train_state
 
 __all__ = ["FORMAT_VERSION", "CheckpointFormatError", "load_checkpoint", "save_checkpoint"]
 
@@ -31,11 +31,20 @@ class CheckpointFormatError(ValueError):
     """The file is not a complete checkpoint: not a zip, truncated, or missing an entry."""
 
 
+def _state_arrays(state: TrainState) -> dict:
+    """Entry name -> live array, for every array a checkpoint stores, in file order."""
+    arrays = {f"param_{i}": p for i, p in enumerate(state.encoder.parameters())}
+    arrays.update((f"vel_{i}", v) for i, v in enumerate(state.opt.velocities))
+    arrays["prototypes"] = state.bank.prototypes
+    arrays["proto_vel"] = state.proto_opt.velocities[0]
+    return arrays
+
+
 def save_checkpoint(path, config: TrainConfig, state: TrainState) -> None:
     """Atomically write config + full state to `path`."""
     meta = {
         "format_version": FORMAT_VERSION,
-        "config": config.as_dict(),
+        "config": dataclasses.asdict(config),
         "input_dim": state.encoder.config.input_dim,
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
@@ -43,16 +52,9 @@ def save_checkpoint(path, config: TrainConfig, state: TrainState) -> None:
         # would, without its per-value deep copy (about 4x slower at 8192 steps)
         "history": [vars(m) for m in state.history],
     }
-    arrays = {"meta": np.array(json.dumps(meta).encode())}
-    for i, p in enumerate(state.encoder.parameters()):
-        arrays[f"param_{i}"] = p
-    for i, v in enumerate(state.opt.velocities):
-        arrays[f"vel_{i}"] = v
-    arrays["prototypes"] = state.bank.prototypes
-    arrays["proto_vel"] = state.proto_opt.velocities[0]
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, meta=np.array(json.dumps(meta).encode()), **_state_arrays(state))
     os.replace(tmp, path)
 
 
@@ -61,8 +63,10 @@ def load_checkpoint(path):
 
     The restored state continues training exactly where the saved one
     stopped: parameters, velocities, rng stream, and history all match
-    bit for bit. A file that is not a complete zip checkpoint raises
-    CheckpointFormatError, and one of another format version ValueError.
+    bit for bit. An array whose shape differs from the configured
+    architecture raises ValueError naming its entry. A file that is not a
+    complete zip checkpoint raises CheckpointFormatError, and one of
+    another format version ValueError.
     """
     try:
         # not np.load: it would read a non-zip file as a .npy or a pickle
@@ -72,30 +76,22 @@ def load_checkpoint(path):
             if version != FORMAT_VERSION:
                 raise ValueError(
                     f"checkpoint format {version!r} not supported (expected {FORMAT_VERSION})")
-            config = TrainConfig.from_dict(meta["config"])
-            enc_config = EncoderConfig(input_dim=int(meta["input_dim"]),
-                                       hidden_dims=config.hidden_dims,
-                                       embed_dim=config.embed_dim,
-                                       activation=config.activation)
-            encoder = MlpEncoder(enc_config, np.random.default_rng(0))
-            params = encoder.parameters()
-            for i, p in enumerate(params):
-                saved = npz[f"param_{i}"]
-                if saved.shape != p.shape:
-                    raise ValueError(f"param_{i} shape {saved.shape} does not match "
-                                     f"the configured architecture {p.shape}")
-                p[...] = saved
-            opt = OptimizerState.for_params(params, config.momentum)
-            for i, v in enumerate(opt.velocities):
-                v[...] = npz[f"vel_{i}"]
-            bank = PrototypeBank(prototypes=npz["prototypes"].copy())
-            proto_opt = OptimizerState.for_params([bank.prototypes], config.momentum)
-            proto_opt.velocities[0][...] = npz["proto_vel"]
-            rng = np.random.default_rng(0)
-            rng.bit_generator.state = meta["rng_state"]
-            history = [StepMetrics(**row) for row in meta["history"]]
-        state = TrainState(encoder=encoder, bank=bank, opt=opt, proto_opt=proto_opt,
-                           rng=rng, step=int(meta["step"]), history=history)
+            config = TrainConfig(**meta["config"])
+            # the class count is the prototype rows; every shape is checked below
+            prototypes = npz["prototypes"]
+            num_classes = prototypes.shape[0] if prototypes.ndim else 1
+            state = new_train_state(config, int(meta["input_dim"]), num_classes,
+                                    np.random.default_rng(0))
+            for name, live in _state_arrays(state).items():
+                saved = npz[name]
+                if saved.shape != live.shape:
+                    raise ValueError(f"{name} shape {saved.shape} does not match "
+                                     f"the configured architecture {live.shape}")
+                live[...] = saved
+            state.bank = PrototypeBank(state.bank.prototypes)  # finite, unit-norm rows
+            state.rng.bit_generator.state = meta["rng_state"]
+            state.step = int(meta["step"])
+            state.history = [StepMetrics(**row) for row in meta["history"]]
         return config, state
     except (EOFError, zipfile.BadZipFile, KeyError) as exc:
         raise CheckpointFormatError(f"{path}: not a complete checkpoint: {exc}") from None

@@ -24,7 +24,7 @@ from .encoder import EncoderConfig, MlpEncoder
 from .evaluate import build_report, format_report
 from .losses import ContrastiveBatch, finite_difference_error, grad_check, ssc_e_loss, ssc_loss
 from .pseudo import EntropyGate, assign_pseudo_labels
-from .trainer import (NonFiniteLossError, TrainConfig, config_to_lines,
+from .trainer import (NonFiniteLossError, TrainConfig, _fmt_value, config_to_lines,
                       parse_config_file, parse_config_lines, read_metrics, train)
 
 __all__ = ["main"]
@@ -128,6 +128,23 @@ def _echo(lines) -> None:
         print(line)
 
 
+def _flag_lines(section: str, args, **shown) -> list:
+    """`section.flag = value` for each of the command's flags but --out, in
+    flag order; `shown` replaces how a flag's value is displayed."""
+    values = {**vars(args), **shown}
+    return [f"{section}.{name} = {_fmt_value(value)}" for name, value in values.items()
+            if name not in ("command", "func", "out")]
+
+
+def _check_dataset_fits(state, dataset) -> None:
+    """Refuse a dataset whose feature or class count differs from a restored state's."""
+    have = (dataset.num_features, dataset.num_classes)
+    want = (state.encoder.config.input_dim, state.bank.num_classes)
+    if have != want:
+        raise ValueError(f"dataset has {have[0]} features and {have[1]} classes, "
+                         f"checkpoint expects {want[0]} features and {want[1]} classes")
+
+
 def _dump_batch(batch: ContrastiveBatch, stream) -> None:
     norms = np.linalg.norm(batch.embeddings, axis=1)
     print(f"offending batch: N={batch.size}, d={batch.embeddings.shape[1]}, "
@@ -138,17 +155,7 @@ def _dump_batch(batch: ContrastiveBatch, stream) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    lines = [
-        f"gen.classes = {args.classes}",
-        f"gen.dim = {args.dim}",
-        f"gen.per_class = {args.per_class}",
-        f"gen.sigma = {repr(float(args.sigma))}",
-        f"gen.separation = {repr(float(args.separation))}",
-        f"gen.labels_per_class = {args.labels_per_class}",
-        f"gen.test_fraction = {repr(float(args.test_fraction))}",
-        f"gen.seed = {args.seed}",
-        f"gen.hide_unlabeled = {'true' if args.hide_unlabeled else 'false'}",
-    ]
+    lines = _flag_lines("gen", args)
     _echo(lines)
     ds = generate_gaussian_clusters(args.classes, args.dim, args.per_class,
                                     args.sigma, args.separation, args.seed)
@@ -201,6 +208,8 @@ def cmd_train(args) -> int:
     else:
         config = _resolve_train_config(args)
     dataset = load_csv(args.data)
+    if state is not None:
+        _check_dataset_fits(state, dataset)
     _echo(config_to_lines(config))
     state, history = train(config, dataset, state=state,
                            metrics_path=args.metrics_out,
@@ -222,9 +231,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config, state = load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data)
-    if dataset.num_classes != state.bank.num_classes:
-        raise ValueError(f"dataset has {dataset.num_classes} classes, "
-                         f"checkpoint expects {state.bank.num_classes}")
+    _check_dataset_fits(state, dataset)
     t_prime = config.t_prime if args.t_prime is None else args.t_prime
     _echo(config_to_lines(config))
     print(f"eval.t_prime = {repr(float(t_prime))}")
@@ -280,12 +287,7 @@ def _end_to_end_error(variant: str, eps: float, rng: np.random.Generator) -> flo
 
 
 def cmd_gradcheck(args) -> int:
-    _echo([
-        f"gradcheck.eps = {repr(float(args.eps))}",
-        f"gradcheck.tol = {repr(float(args.tol))}",
-        f"gradcheck.variant = {args.variant}",
-        f"gradcheck.seed = {args.seed}",
-    ])
+    _echo(_flag_lines("gradcheck", args))
     variants = ("ssc", "ssc-e") if args.variant == "all" else (args.variant,)
     rng = np.random.default_rng(args.seed)
     failed = False
@@ -323,17 +325,7 @@ def _load_prob_rows(path) -> np.ndarray:
 
 
 def cmd_gate_sim(args) -> int:
-    lines = [
-        f"gate_sim.input = {args.input if args.input else '(synthetic)'}",
-        f"gate_sim.classes = {args.classes}",
-        f"gate_sim.samples = {args.samples}",
-        f"gate_sim.alpha = {repr(float(args.alpha))}",
-        f"gate_sim.seed = {args.seed}",
-        f"gate_sim.tau = {','.join(repr(t) for t in args.tau)}",
-        f"gate_sim.tau_ent = {','.join(repr(t) for t in args.tau_ent)}",
-        f"gate_sim.w_min = {repr(float(args.w_min))}",
-        f"gate_sim.lambda_reject = {repr(float(args.lambda_reject))}",
-    ]
+    lines = _flag_lines("gate_sim", args, input=args.input or "(synthetic)")
     _echo(lines)
     if args.input:
         probs = _load_prob_rows(args.input)

@@ -79,10 +79,8 @@ class EncoderConfig:
 @dataclass
 class ForwardCache:
     version: int
-    inputs: np.ndarray
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]  # layer inputs: activations[l] feeds layer l
-    pre_norm: np.ndarray
     norms: np.ndarray
     embeddings: np.ndarray
 
@@ -137,8 +135,8 @@ class MlpEncoder:
         if np.any(norms < 1e-150):
             raise ValueError("encoder produced a zero-norm embedding")
         embeddings = pre_norm / norms[:, None]
-        cache = ForwardCache(self._version, x, pre_activations, activations,
-                             pre_norm, norms, embeddings)
+        cache = ForwardCache(self._version, pre_activations, activations, norms,
+                             embeddings)
         return embeddings, cache
 
     def backward(self, cache: ForwardCache, grad_embeddings) -> list[np.ndarray]:

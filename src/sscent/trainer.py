@@ -134,14 +134,6 @@ class TrainConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        """Inverse of as_dict; hidden_dims may come back as a list (JSON)."""
-        return cls(**data)
-
 
 def _parse_bool(text: str) -> bool:
     if text == "true":
@@ -163,7 +155,7 @@ def _fmt_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value)
     return str(value)
 
@@ -326,11 +318,26 @@ class TrainState:
     history: list = field(default_factory=list)
 
 
-def init_train_state(config: TrainConfig, dataset: Dataset) -> TrainState:
-    """Fresh state seeded from config.seed.
+def new_train_state(config: TrainConfig, input_dim: int, num_classes: int,
+                    rng: np.random.Generator) -> TrainState:
+    """State at step 0 whose generator is `rng`.
 
     Draw order: encoder layer weights in order, then prototype directions.
     """
+    enc_config = EncoderConfig(input_dim=input_dim,
+                               hidden_dims=config.hidden_dims,
+                               embed_dim=config.embed_dim,
+                               activation=config.activation)
+    encoder = MlpEncoder(enc_config, rng)
+    bank = PrototypeBank.random(num_classes, config.embed_dim, rng)
+    opt = OptimizerState.for_params(encoder.parameters(), config.momentum)
+    proto_opt = OptimizerState.for_params([bank.prototypes], config.momentum)
+    return TrainState(encoder=encoder, bank=bank, opt=opt, proto_opt=proto_opt,
+                      rng=rng)
+
+
+def init_train_state(config: TrainConfig, dataset: Dataset) -> TrainState:
+    """Fresh state for `dataset`, seeded from config.seed."""
     k = dataset.num_classes
     if k < 2:
         raise ValueError(f"dataset must contain at least 2 classes, got {k}")
@@ -341,17 +348,8 @@ def init_train_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     if np.any(present == 0):
         missing = np.flatnonzero(present == 0).tolist()
         raise ValueError(f"labeled split is missing classes {missing}")
-    rng = np.random.default_rng(config.seed)
-    enc_config = EncoderConfig(input_dim=dataset.num_features,
-                               hidden_dims=config.hidden_dims,
-                               embed_dim=config.embed_dim,
-                               activation=config.activation)
-    encoder = MlpEncoder(enc_config, rng)
-    bank = PrototypeBank.random(k, config.embed_dim, rng)
-    opt = OptimizerState.for_params(encoder.parameters(), config.momentum)
-    proto_opt = OptimizerState.for_params([bank.prototypes], config.momentum)
-    return TrainState(encoder=encoder, bank=bank, opt=opt, proto_opt=proto_opt,
-                      rng=rng)
+    return new_train_state(config, dataset.num_features, k,
+                           np.random.default_rng(config.seed))
 
 
 def _sample_indices(rng: np.random.Generator, pool_size: int, count: int) -> np.ndarray:

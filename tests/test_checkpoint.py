@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from sscent import (
     init_train_state,
     load_checkpoint,
     save_checkpoint,
+    save_csv,
     split_dataset,
     train,
     train_step,
 )
 from sscent.checkpoint import FORMAT_VERSION
+from sscent.cli import main
 
 
 def fixture_dataset(seed=0):
@@ -194,24 +197,50 @@ def test_unknown_format_version_rejected(tmp_path):
     assert "99" in str(err.value)
 
 
-def test_architecture_mismatch_rejected(tmp_path):
+def _rewrite(path, out, edit):
+    """Copy checkpoint `path` to `out` after `edit(arrays, meta)` changes it."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(arrays["meta"].item())
+    edit(arrays, meta)
+    arrays["meta"] = np.array(json.dumps(meta).encode())
+    with open(out, "wb") as fh:
+        np.savez(fh, **arrays)
+    return out
+
+
+def test_architecture_mismatch_rejected(tmp_path, capsys):
     ds = fixture_dataset()
     cfg = fixture_config()
     state, _ = train(cfg, ds)
     path = tmp_path / "ok.npz"
     save_checkpoint(path, cfg, state)
+    data = tmp_path / "data.csv"
+    save_csv(ds, data)
 
-    with np.load(path, allow_pickle=False) as npz:
-        arrays = {k: npz[k] for k in npz.files}
-    meta = json.loads(arrays["meta"].item())
-    meta["config"]["hidden_dims"] = [16]  # widths no longer match param_0
-    arrays["meta"] = np.array(json.dumps(meta))
-    bad = tmp_path / "mismatch.npz"
-    with open(bad, "wb") as fh:
-        np.savez(fh, **arrays)
+    def widen(arrays, meta):
+        meta["config"]["hidden_dims"] = [16]  # widths no longer match param_0
 
-    with pytest.raises(ValueError):
-        load_checkpoint(bad)
+    with pytest.raises(ValueError, match=r"param_0 shape \(6, 8\) does not match "
+                                         r"the configured architecture \(6, 16\)"):
+        load_checkpoint(_rewrite(path, tmp_path / "widths.npz", widen))
+
+    # a shape that broadcasts into the live array (all but prototypes') is refused too
+    wrong = {"param_0": np.zeros((1, 8)), "vel_0": np.zeros((1, 8)),
+             "prototypes": np.eye(3, 5), "proto_vel": np.zeros(4)}
+    for name, array in wrong.items():
+        def swap(arrays, meta):
+            arrays[name] = array
+
+        bad = _rewrite(path, tmp_path / f"{name}.npz", swap)
+        shape = re.escape(str(array.shape))
+        with pytest.raises(ValueError, match=f"^{name} shape {shape} does not match"):
+            load_checkpoint(bad)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {name} shape {array.shape} does not match")
 
 
 def test_missing_checkpoint_raises_oserror(tmp_path):

@@ -5,6 +5,7 @@ file artifacts can be asserted without subprocesses.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,23 @@ def test_gen_data_hide_unlabeled_writes_minus_one(tmp_path):
               if line.endswith(",unlabeled")]
     assert len(hidden) == 36
     assert all(line.split(",")[-2] == "-1" for line in hidden)
+
+
+@pytest.mark.parametrize("command, section, argv", [
+    ("gen-data", "gen", ["--hide-unlabeled"]),
+    ("gate-sim", "gate_sim", ["--samples", "3", "--tau", "0.9,0.95"]),
+    ("gradcheck", "gradcheck", ["--variant", "ssc"]),
+])
+def test_every_flag_but_out_is_echoed(command, section, argv, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out)) - {"help"}
+    if "out" in flags:
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    assert main([command, *argv]) == 0
+    echoed = {line.partition(" = ")[0] for line in capsys.readouterr().out.splitlines()}
+    assert {f"{section}.{flag.replace('-', '_')}" for flag in flags - {"out"}} <= echoed
+    assert f"{section}.out" not in echoed
 
 
 # ----------------------------------------------------------------- train
@@ -370,6 +388,38 @@ def test_eval_class_count_mismatch_fails_validation(trained, tmp_path, capsys):
                "--data", str(other)])
     assert rc == 1
     assert "classes" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fresh_ckpt(data_csv, tmp_path_factory):
+    """A checkpoint of the FAST_SET run at step 0."""
+    path = tmp_path_factory.mktemp("cli_fresh") / "step0.npz"
+    cfg = fast_train_config()
+    save_checkpoint(path, cfg, init_train_state(cfg, load_csv(data_csv)))
+    return path
+
+
+@pytest.mark.parametrize("classes, dim", [(4, 6), (3, 6), (4, 4)])
+@pytest.mark.parametrize("command", ["eval", "resume-finished", "resume-step0"])
+def test_dataset_of_another_shape_is_refused(trained, fresh_ckpt, tmp_path, capsys,
+                                             command, classes, dim):
+    # the checkpoints hold a 4-feature, 3-class model
+    other = tmp_path / "other.csv"
+    argv = list(GEN_ARGS)
+    argv[argv.index("--classes") + 1] = str(classes)
+    argv[argv.index("--dim") + 1] = str(dim)
+    assert main(argv + ["--out", str(other)]) == 0
+    ckpt = fresh_ckpt if command == "resume-step0" else trained["ckpt"]
+    metrics = tmp_path / "m.csv"
+    argv = _argv(command.partition("-")[0], ckpt, str(other))
+    if command != "eval":
+        argv += ["--metrics-out", str(metrics)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset has {dim} features and {classes} classes, "
+        "checkpoint expects 4 features and 3 classes\n")
+    assert not metrics.exists()
 
 
 def test_eval_missing_checkpoint_is_io_error(data_csv, tmp_path, capsys):

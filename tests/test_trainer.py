@@ -155,8 +155,11 @@ def test_parse_config_file(tmp_path):
 
 
 def test_config_dict_round_trip():
+    # the checkpoint's JSON turns hidden_dims into a list; the config takes it back
     cfg = tiny_config(hidden_dims=(5, 3), gate_enabled=False)
-    assert TrainConfig.from_dict(cfg.as_dict()) == cfg
+    data = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert data["hidden_dims"] == [5, 3]
+    assert TrainConfig(**data) == cfg
 
 
 # ---------------------------------------------------------------------------
