@@ -2,17 +2,18 @@
 
 A checkpoint is a single .npz holding every parameter, velocity, and
 prototype array verbatim (prototype row k is class k), plus one JSON
-metadata entry, stored as ASCII bytes, with the config, the step counter,
-the generator state, and the metric history. Floats in the metadata
-survive the round trip exactly because JSON serialization uses shortest
-round-trip formatting; arrays are stored as raw float64.
+metadata entry, stored as ASCII bytes, with the config (the same
+`section.key = value` lines the metrics CSV carries, read back through
+the config parser), the step counter, the generator state, and the metric
+history. Floats in the metadata survive the round trip exactly because
+both the lines and JSON use shortest round-trip formatting; arrays are
+stored as raw float64.
 Writes go to a temp file first and are renamed into place, so a crash
 never leaves a truncated checkpoint behind.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import zipfile
@@ -20,11 +21,12 @@ import zipfile
 import numpy as np
 
 from .pseudo import PrototypeBank
-from .trainer import StepMetrics, TrainConfig, TrainState, new_train_state
+from .trainer import (StepMetrics, TrainConfig, TrainState, config_to_lines,
+                      new_train_state, parse_config_lines)
 
 __all__ = ["FORMAT_VERSION", "CheckpointFormatError", "load_checkpoint", "save_checkpoint"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointFormatError(ValueError):
@@ -44,7 +46,7 @@ def save_checkpoint(path, config: TrainConfig, state: TrainState) -> None:
     """Atomically write config + full state to `path`."""
     meta = {
         "format_version": FORMAT_VERSION,
-        "config": dataclasses.asdict(config),
+        "config": config_to_lines(config),
         "input_dim": state.encoder.config.input_dim,
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
@@ -64,9 +66,10 @@ def load_checkpoint(path):
     The restored state continues training exactly where the saved one
     stopped: parameters, velocities, rng stream, and history all match
     bit for bit. An array whose shape differs from the configured
-    architecture raises ValueError naming its entry. A file that is not a
-    complete zip checkpoint raises CheckpointFormatError, and one of
-    another format version ValueError.
+    architecture raises ValueError naming its entry, and a bad config line
+    ConfigError naming the file and line. A file that is not a complete
+    zip checkpoint, or whose history rows are not metrics rows, raises
+    CheckpointFormatError, and one of another format version ValueError.
     """
     try:
         # not np.load: it would read a non-zip file as a .npy or a pickle
@@ -76,7 +79,7 @@ def load_checkpoint(path):
             if version != FORMAT_VERSION:
                 raise ValueError(
                     f"checkpoint format {version!r} not supported (expected {FORMAT_VERSION})")
-            config = TrainConfig(**meta["config"])
+            config = parse_config_lines(meta["config"], source=f"{path}: config")
             # the class count is the prototype rows; every shape is checked below
             prototypes = npz["prototypes"]
             num_classes = prototypes.shape[0] if prototypes.ndim else 1
@@ -93,5 +96,5 @@ def load_checkpoint(path):
             state.step = int(meta["step"])
             state.history = [StepMetrics(**row) for row in meta["history"]]
         return config, state
-    except (EOFError, zipfile.BadZipFile, KeyError) as exc:
+    except (EOFError, zipfile.BadZipFile, KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"{path}: not a complete checkpoint: {exc}") from None

@@ -10,7 +10,6 @@ numerical failure (non-finite loss, gradient check over tolerance).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from importlib import resources
@@ -24,8 +23,9 @@ from .encoder import EncoderConfig, MlpEncoder
 from .evaluate import build_report, format_report
 from .losses import ContrastiveBatch, finite_difference_error, grad_check, ssc_e_loss, ssc_loss
 from .pseudo import EntropyGate, assign_pseudo_labels
-from .trainer import (NonFiniteLossError, TrainConfig, _fmt_value, config_to_lines,
-                      parse_config_file, parse_config_lines, read_metrics, train)
+from .trainer import (NonFiniteLossError, StepMetrics, TrainConfig, config_to_lines,
+                      format_metrics_row, key_lines, parse_config_file, parse_config_lines,
+                      read_metrics, train)
 
 __all__ = ["main"]
 
@@ -132,8 +132,8 @@ def _flag_lines(section: str, args, **shown) -> list:
     """`section.flag = value` for each of the command's flags but --out, in
     flag order; `shown` replaces how a flag's value is displayed."""
     values = {**vars(args), **shown}
-    return [f"{section}.{name} = {_fmt_value(value)}" for name, value in values.items()
-            if name not in ("command", "func", "out")]
+    return key_lines({name: value for name, value in values.items()
+                      if name not in ("command", "func", "out")}, section)
 
 
 def _check_dataset_fits(state, dataset) -> None:
@@ -174,39 +174,31 @@ def _load_preset(name: str) -> list:
     return text.splitlines()
 
 
-def _resolve_train_config(args) -> TrainConfig:
+def _resolve_train_config(args, flags: list) -> TrainConfig:
+    """Defaults, then --preset, --config, --set, and last the direct flags."""
     config = TrainConfig()
     if args.preset:
         config = parse_config_lines(_load_preset(args.preset), base=config,
                                     source=f"preset {args.preset}")
     if args.config:
         config = parse_config_file(args.config, base=config)
-    if args.set:
-        config = parse_config_lines(args.set, base=config, source="--set")
-    overrides = {}
-    if args.method is not None:
-        overrides["method"] = args.method
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.steps_per_epoch is not None:
-        overrides["steps_per_epoch"] = args.steps_per_epoch
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return dataclasses.replace(config, **overrides) if overrides else config
+    config = parse_config_lines(args.set, base=config, source="--set")
+    return parse_config_lines(flags, base=config, source="flags")
 
 
 def cmd_train(args) -> int:
+    # the direct flags --method, --epochs, --steps-per-epoch and --seed as train.* lines
+    flags = key_lines({name: getattr(args, name) for name in
+                       ("method", "epochs", "steps_per_epoch", "seed")
+                       if getattr(args, name) is not None}, "train")
     state = None
     if args.resume:
-        conflicting = (args.preset or args.config or args.set or args.method
-                       or args.epochs is not None or args.steps_per_epoch is not None
-                       or args.seed is not None)
-        if conflicting:
+        if args.preset or args.config or args.set or flags:
             raise UsageError("--resume restores the saved config; drop the other "
                              "config flags")
         config, state = load_checkpoint(args.resume)
     else:
-        config = _resolve_train_config(args)
+        config = _resolve_train_config(args, flags)
     dataset = load_csv(args.data)
     if state is not None:
         _check_dataset_fits(state, dataset)
@@ -233,8 +225,7 @@ def cmd_eval(args) -> int:
     dataset = load_csv(args.data)
     _check_dataset_fits(state, dataset)
     t_prime = config.t_prime if args.t_prime is None else args.t_prime
-    _echo(config_to_lines(config))
-    print(f"eval.t_prime = {repr(float(t_prime))}")
+    _echo(config_to_lines(config) + key_lines({"t_prime": float(t_prime)}, "eval"))
     gate = EntropyGate.for_classes(state.bank.num_classes, config.tau,
                                    config.tau_ent, config.w_min)
     enabled = config.method == "ssc-e" and config.gate_enabled
@@ -242,12 +233,12 @@ def cmd_eval(args) -> int:
                           config.lambda_reject, enabled, t_prime)
     print(format_report(report))
     if args.append:
-        epoch = state.step // config.steps_per_epoch
-        cells = [str(state.step), str(epoch), "", "", str(report.confident),
-                 str(report.entropy_selected), "",
-                 repr(float(report.test_accuracy))]
+        row = StepMetrics(step=state.step, epoch=state.step // config.steps_per_epoch,
+                          lr=None, loss=None, confident=report.confident,
+                          entropy_selected=report.entropy_selected,
+                          mean_unlabeled_weight=None, test_acc=report.test_accuracy)
         with open(args.append, "a", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(cells) + "\n")
+            fh.write(format_metrics_row(row) + "\n")
         print(f"appended to {args.append}")
     return 0
 

@@ -117,17 +117,6 @@ class Dataset:
     def test_labels(self) -> np.ndarray:
         return self.labels[self._mask("test")]
 
-    @property
-    def labels_per_class(self) -> int:
-        """Common per-class count of the labeled split; errors if non-uniform."""
-        y = self.labeled_labels()
-        if y.size == 0:
-            raise ValueError("dataset has no labeled rows")
-        counts = np.bincount(y, minlength=self.num_classes)
-        if np.any(counts != counts[0]):
-            raise ValueError(f"labeled split is not class-balanced: counts {counts.tolist()}")
-        return int(counts[0])
-
     def split_counts(self) -> dict[str, int]:
         return {tag: int(np.sum(self._mask(tag))) for tag in SPLIT_TAGS}
 

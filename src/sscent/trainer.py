@@ -55,12 +55,12 @@ METRICS_HEADER = "step,epoch,lr,loss,confident,entropy_selected,mean_unlabeled_w
 
 
 class ConfigError(ValueError):
-    """Bad key, bad value, or malformed line in a config source."""
+    """Bad key, bad value, or malformed line in a config source (named when given)."""
 
-    def __init__(self, message: str, source: str = "<config>",
+    def __init__(self, message: str, source: Optional[str] = None,
                  line_number: Optional[int] = None):
         where = source if line_number is None else f"{source}, line {line_number}"
-        super().__init__(f"{where}: {message}")
+        super().__init__(message if source is None else f"{where}: {message}")
 
 
 class NonFiniteLossError(RuntimeError):
@@ -103,6 +103,9 @@ class TrainConfig:
     strong_dropout: float = 0.2
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.labeled_batch_size < 1:
             raise ConfigError(f"labeled_batch_size must be >= 1, got {self.labeled_batch_size}")
         if self.mu < 1:
@@ -122,7 +125,6 @@ class TrainConfig:
         if not 0.0 < self.gate_cutoff_fraction <= 1.0:
             raise ConfigError(
                 f"gate_cutoff_fraction must be in (0, 1], got {self.gate_cutoff_fraction}")
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         # reuse the constructors' own range checks
         try:
             EncoderConfig(input_dim=1, hidden_dims=self.hidden_dims,
@@ -150,14 +152,18 @@ def _parse_int_tuple(text: str) -> tuple:
     return tuple(int(part.strip()) for part in text.split(","))
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return ",".join(str(v) for v in value)
-    return str(value)
+def key_lines(values: dict, section: str = "") -> list:
+    """`section.key = value` for each item of `values` in order (the key as
+    given without a section): booleans as true/false, sequences
+    comma-joined, anything else by str(), a float's shortest repr."""
+    lines = []
+    for key, value in values.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, (tuple, list)):
+            value = ",".join(map(str, value))
+        lines.append(f"{section}.{key} = {value}" if section else f"{key} = {value}")
+    return lines
 
 
 # config-file key -> (TrainConfig field, parser); order defines echo order
@@ -228,9 +234,8 @@ def parse_config_file(path, base: Optional[TrainConfig] = None) -> TrainConfig:
 
 
 def config_to_lines(config: TrainConfig) -> list:
-    """Deterministic `section.key = value` echo of the full config."""
-    return [f"{key} = {_fmt_value(getattr(config, attr))}"
-            for key, (attr, _) in CONFIG_SCHEMA.items()]
+    """The config as lines: the echo, the CSV comments, the checkpoint's config."""
+    return key_lines({key: getattr(config, attr) for key, (attr, _) in CONFIG_SCHEMA.items()})
 
 
 def cosine_lr(t: int, total_steps: int, eta0: float) -> float:
@@ -257,26 +262,22 @@ def gate_active(config: TrainConfig, epoch: int) -> bool:
 class StepMetrics:
     step: int
     epoch: int
-    lr: float
-    loss: float
+    lr: Optional[float]
+    loss: Optional[float]
     confident: int
     entropy_selected: int
-    mean_unlabeled_weight: float
+    mean_unlabeled_weight: Optional[float]
     test_acc: Optional[float] = None
 
 
 def format_metrics_row(m: StepMetrics) -> str:
-    cells = [
-        str(m.step),
-        str(m.epoch),
-        repr(float(m.lr)),
-        repr(float(m.loss)),
-        str(m.confident),
-        str(m.entropy_selected),
-        repr(float(m.mean_unlabeled_weight)),
-        "" if m.test_acc is None else repr(float(m.test_acc)),
-    ]
-    return ",".join(cells)
+    """The CSV row of `m`; a float cell that is None is left empty."""
+    def real(x):
+        return "" if x is None else repr(float(x))
+
+    return ",".join([str(m.step), str(m.epoch), real(m.lr), real(m.loss),
+                     str(m.confident), str(m.entropy_selected),
+                     real(m.mean_unlabeled_weight), real(m.test_acc)])
 
 
 def write_metrics(path, history, comments=()) -> None:
@@ -456,16 +457,18 @@ def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
     return metrics
 
 
-def _dataset_comment_lines(dataset: Dataset) -> list:
+def _dataset_comment_lines(dataset: Dataset, labeled_y: np.ndarray) -> list:
+    """`data.*` lines; labels_per_class lists the class counts when they differ."""
+    per_class = np.bincount(labeled_y, minlength=dataset.num_classes).tolist()
     counts = dataset.split_counts()
-    return [
-        f"data.classes = {dataset.num_classes}",
-        f"data.dim = {dataset.num_features}",
-        f"data.labels_per_class = {dataset.labels_per_class}",
-        f"data.labeled = {counts['labeled']}",
-        f"data.unlabeled = {counts['unlabeled']}",
-        f"data.test = {counts['test']}",
-    ]
+    return key_lines({
+        "classes": dataset.num_classes,
+        "dim": dataset.num_features,
+        "labels_per_class": per_class[0] if len(set(per_class)) == 1 else per_class,
+        "labeled": counts["labeled"],
+        "unlabeled": counts["unlabeled"],
+        "test": counts["test"],
+    }, "data")
 
 
 def train(config: TrainConfig, dataset: Dataset, state: Optional[TrainState] = None,
@@ -487,6 +490,7 @@ def train(config: TrainConfig, dataset: Dataset, state: Optional[TrainState] = N
     test_y = dataset.test_labels()
     if labeled_x.shape[0] == 0 or unlabeled_x.shape[0] == 0 or test_x.shape[0] == 0:
         raise ValueError("training needs non-empty labeled, unlabeled, and test splits")
+    comments = config_to_lines(config) + _dataset_comment_lines(dataset, labeled_y)
     if state is None:
         state = init_train_state(config, dataset)
     gate = EntropyGate.for_classes(dataset.num_classes, config.tau,
@@ -512,6 +516,5 @@ def train(config: TrainConfig, dataset: Dataset, state: Optional[TrainState] = N
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, config, state)
     if metrics_path is not None:
-        comments = config_to_lines(config) + _dataset_comment_lines(dataset)
         write_metrics(metrics_path, state.history, comments)
     return state, state.history

@@ -62,7 +62,7 @@ def test_round_trip_restores_everything_bit_exactly(tmp_path):
     assert any(a is None for a in accs) and any(a is not None for a in accs)
 
 
-def test_format_2_round_trip_with_every_config_key_changed(tmp_path):
+def test_format_3_round_trip_with_every_config_key_changed(tmp_path):
     cfg = TrainConfig(
         labeled_batch_size=3, mu=2, temperature=0.25, eta0=0.05, momentum=0.5,
         epochs=2, steps_per_epoch=3, seed=11, method="ssc", eval_every=2,
@@ -75,16 +75,22 @@ def test_format_2_round_trip_with_every_config_key_changed(tmp_path):
     assert len(fields) == 25
     assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields)
     ds = fixture_dataset()
-    state, _ = train(cfg, ds)
+    csv = tmp_path / "all.csv"
+    state, _ = train(cfg, ds, metrics_path=csv)
     path = tmp_path / "all.npz"
     save_checkpoint(path, cfg, state)
 
     with np.load(path, allow_pickle=False) as npz:
         files = set(npz.files)
         meta = npz["meta"]
-    assert FORMAT_VERSION == 2
+    assert FORMAT_VERSION == 3
     assert meta.dtype.kind == "S"  # ASCII bytes, one byte per character
-    assert json.loads(meta.item().decode("ascii"))["format_version"] == 2
+    meta = json.loads(meta.item().decode("ascii"))
+    assert meta["format_version"] == 3
+    # the stored config is the metrics CSV's config comment block
+    comments = [line[2:] for line in csv.read_text().splitlines() if line.startswith("# ")]
+    assert meta["config"] == comments[:25]
+    assert comments[25].startswith("data.")
     assert files == {"meta", "param_0", "param_1", "vel_0", "vel_1",
                      "prototypes", "proto_vel"}
 
@@ -116,7 +122,7 @@ def test_format_1_checkpoint_rejected(tmp_path):
     with open(old, "wb") as fh:
         np.savez(fh, **arrays)
 
-    with pytest.raises(ValueError, match=r"format 1 not supported \(expected 2\)"):
+    with pytest.raises(ValueError, match=r"format 1 not supported \(expected 3\)"):
         load_checkpoint(old)
 
 
@@ -218,8 +224,9 @@ def test_architecture_mismatch_rejected(tmp_path, capsys):
     data = tmp_path / "data.csv"
     save_csv(ds, data)
 
-    def widen(arrays, meta):
-        meta["config"]["hidden_dims"] = [16]  # widths no longer match param_0
+    def widen(arrays, meta):  # widths no longer match param_0
+        meta["config"][meta["config"].index("encoder.hidden_dims = 8")] = \
+            "encoder.hidden_dims = 16"
 
     with pytest.raises(ValueError, match=r"param_0 shape \(6, 8\) does not match "
                                          r"the configured architecture \(6, 16\)"):
@@ -246,3 +253,54 @@ def test_architecture_mismatch_rejected(tmp_path, capsys):
 def test_missing_checkpoint_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "absent.npz")
+
+
+def test_format_2_checkpoint_rejected(tmp_path, capsys):
+    # format 2 stored the config as a JSON object of TrainConfig fields
+    ds = fixture_dataset()
+    cfg = fixture_config()
+    state, _ = train(cfg, ds)
+    path = tmp_path / "v3.npz"
+    save_checkpoint(path, cfg, state)
+    data = tmp_path / "data.csv"
+    save_csv(ds, data)
+
+    def downgrade(arrays, meta):
+        meta["format_version"] = 2
+        meta["config"] = dataclasses.asdict(cfg)
+
+    old = _rewrite(path, tmp_path / "v2.npz", downgrade)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(old), "--data", str(data)]) == 1
+    assert capsys.readouterr().err == "error: checkpoint format 2 not supported (expected 3)\n"
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    # the config lines go through the config parser: bad lines exit 1
+    (lambda meta: meta["config"].append("train.bogus = 1"), 1,
+     "{path}: config, line 26: unknown config key 'train.bogus'"),
+    (lambda meta: meta["config"].__setitem__(12, "gate.tau = x"), 1,
+     "{path}: config, line 13: bad value for gate.tau: could not convert string to float: 'x'"),
+    (lambda meta: meta["config"].__setitem__(12, "gate.tau = 2.0"), 1,
+     "{path}: config: tau must be in (0, 1], got 2.0"),
+    # a history row that is not a metrics row makes the file incomplete: exit 2
+    (lambda meta: meta["history"][0].update(bogus=1), 2,
+     "{path}: not a complete checkpoint: StepMetrics.__init__() got an unexpected "
+     "keyword argument 'bogus'"),
+    (lambda meta: meta["history"][-1].pop("loss"), 2,
+     "{path}: not a complete checkpoint: StepMetrics.__init__() missing 1 required "
+     "positional argument: 'loss'"),
+], ids=["unknown-key", "bad-value", "out-of-range", "unknown-history-field",
+        "missing-history-field"])
+def test_bad_meta_is_one_error_line(tmp_path, capsys, edit, code, message):
+    ds = fixture_dataset()
+    cfg = fixture_config()
+    state, _ = train(cfg, ds)
+    path = tmp_path / "ok.npz"
+    save_checkpoint(path, cfg, state)
+    data = tmp_path / "data.csv"
+    save_csv(ds, data)
+    bad = _rewrite(path, tmp_path / "bad.npz", lambda arrays, meta: edit(meta))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == code
+    assert capsys.readouterr().err == f"error: {message.format(path=bad)}\n"

@@ -216,6 +216,29 @@ def test_train_invalid_value_fails_validation(data_csv, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
+def test_train_config_errors_name_their_source_once(data_csv, tmp_path, capsys):
+    # the direct flags are the last config lines applied, from source `flags`
+    assert main(["train", "--data", data_csv, *FAST_SET, "--epochs", "-1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: flags: epochs must be >= 0 and steps_per_epoch >= 1\n")  # no `<config>:`
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("gate.tau = 2.0\n")
+    assert main(["train", "--data", data_csv, "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: tau must be in (0, 1], got 2.0\n"
+
+
+@pytest.mark.parametrize("key", ["train.eta0=nan", "train.temperature=inf",
+                                 "gate.t_prime=nan", "aug.weak_sigma=nan",
+                                 "aug.strong_sigma=inf"])
+def test_train_non_finite_config_value_fails_before_the_data_is_read(tmp_path, capsys,
+                                                                     key):
+    rc = main(["train", "--data", str(tmp_path / "missing.csv"), "--set", key])
+    assert rc == 1
+    name, _, value = key.partition("=")
+    assert capsys.readouterr().err == (
+        f"error: --set: {name.split('.')[1]} must be finite, got {value}\n")
+
+
 def test_train_missing_data_file_is_io_error(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "absent.csv"), *FAST_SET])
     assert rc == 2
@@ -483,7 +506,7 @@ def test_checkpoint_of_another_format_version_fails_validation(trained, data_csv
     capsys.readouterr()
     rc = main(_argv(command, ckpt, data_csv))
     assert rc == 1
-    assert capsys.readouterr().err == "error: checkpoint format 1 not supported (expected 2)\n"
+    assert capsys.readouterr().err == "error: checkpoint format 1 not supported (expected 3)\n"
 
 
 # ------------------------------------------------------------- gradcheck

@@ -140,7 +140,7 @@ def test_dataset_views_and_labels_per_class():
     out = split_dataset(ds, labels_per_class=4, test_fraction=0.2, seed=1)
     assert out.labeled_features().shape[0] == out.labeled_labels().shape[0] == 12
     assert out.num_classes == 3
-    assert out.labels_per_class == 4
+    assert np.bincount(out.labeled_labels()).tolist() == [4, 4, 4]
     assert (out.unlabeled_features().shape[0]
             == out.unlabeled_true_labels().shape[0])
 

@@ -26,8 +26,10 @@ from sscent import (
 )
 from sscent.trainer import (
     METRICS_HEADER,
+    StepMetrics,
     config_to_lines,
     cosine_lr,
+    format_metrics_row,
     gate_active,
     parse_config_file,
     parse_config_lines,
@@ -154,12 +156,15 @@ def test_parse_config_file(tmp_path):
         parse_config_file(tmp_path / "absent.cfg")
 
 
-def test_config_dict_round_trip():
-    # the checkpoint's JSON turns hidden_dims into a list; the config takes it back
-    cfg = tiny_config(hidden_dims=(5, 3), gate_enabled=False)
-    data = json.loads(json.dumps(dataclasses.asdict(cfg)))
-    assert data["hidden_dims"] == [5, 3]
-    assert TrainConfig(**data) == cfg
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_every_non_finite_float(value):
+    floats = [f.name for f in dataclasses.fields(TrainConfig)
+              if isinstance(getattr(TrainConfig(), f.name), float)]
+    assert len(floats) == 12
+    for name in floats:
+        with pytest.raises(ConfigError) as err:
+            tiny_config(**{name: value})
+        assert str(err.value) == f"{name} must be finite, got {value}"
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +564,20 @@ def test_metrics_round_trip(tmp_path):
             assert float(row["test_acc"]) == m.test_acc
 
 
+def test_unbalanced_labeled_split_keeps_its_metrics_csv(tmp_path):
+    ds = tiny_dataset()
+    # label one more class-0 row: the labeled split holds 5, 4 and 4 rows
+    tags = ds.split.copy()
+    tags[np.flatnonzero((ds.split == "unlabeled") & (ds.labels == 0))[0]] = "labeled"
+    ds = dataclasses.replace(ds, split=tags)
+    path = tmp_path / "m.csv"
+    _, history = train(tiny_config(), ds, metrics_path=path)
+    meta, rows = read_metrics(path)
+    assert meta["data.labels_per_class"] == "5,4,4"
+    assert meta["data.labeled"] == "13"
+    assert len(rows) == len(history) == 8
+
+
 def test_metrics_header_and_blank_test_acc(tmp_path):
     from sscent import StepMetrics
     path = tmp_path / "m.csv"
@@ -573,6 +592,13 @@ def test_metrics_header_and_blank_test_acc(tmp_path):
     assert text[1] == METRICS_HEADER
     assert text[2] == "0,0,0.5,1.25,3,1,0.75,"
     assert text[3] == "1,0,0.25,1.0,4,0,1.0,0.875"
+
+
+def test_metrics_row_leaves_none_float_cells_empty():
+    # the row `eval --append` writes has no lr, loss or unlabeled weight
+    row = StepMetrics(step=2, epoch=1, lr=None, loss=None, confident=5,
+                      entropy_selected=0, mean_unlabeled_weight=None, test_acc=0.5)
+    assert format_metrics_row(row) == "2,1,,,5,0,,0.5"
 
 
 def test_read_metrics_collects_comments_after_the_header(tmp_path):
