@@ -1,13 +1,18 @@
 """Bit-exact training-state persistence.
 
-A checkpoint is a single .npz holding every parameter, velocity, and
-prototype array verbatim (prototype row k is class k), plus one JSON
-metadata entry, stored as ASCII bytes, with the config (the same
+A checkpoint (format 4) is a single .npz holding every parameter,
+velocity, and prototype array verbatim (prototype row k is class k), the
+metric history as one `history` table, and one JSON metadata entry,
+stored as ASCII bytes. The metadata holds the config (the same
 `section.key = value` lines the metrics CSV carries, read back through
-the config parser), the step counter, the generator state, and the metric
-history. Floats in the metadata survive the round trip exactly because
-both the lines and JSON use shortest round-trip formatting; arrays are
-stored as raw float64.
+the config parser), the feature count, the step counter, the generator
+state, and the SHA-256 of the dataset the run trains on. The history
+holds row i for step i in `_HISTORY_DTYPE` columns, 40 bytes a row: a
+row's step is its index and its epoch step // steps_per_epoch, and NaN
+stands for None. Every float survives the round trip exactly: the config
+lines use shortest round-trip formatting and arrays are stored raw.
+Format 3, which kept the history as JSON in the metadata, and older
+formats are refused.
 Writes go to a temp file first and are renamed into place, so a crash
 never leaves a truncated checkpoint behind.
 """
@@ -15,6 +20,7 @@ never leaves a truncated checkpoint behind.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import zipfile
 
@@ -26,7 +32,12 @@ from .trainer import (StepMetrics, TrainConfig, TrainState, config_to_lines,
 
 __all__ = ["FORMAT_VERSION", "CheckpointFormatError", "load_checkpoint", "save_checkpoint"]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+
+# one row per step, in StepMetrics field order without step and epoch
+_HISTORY_DTYPE = np.dtype([("lr", np.float64), ("loss", np.float64),
+                           ("confident", np.int32), ("entropy_selected", np.int32),
+                           ("mean_unlabeled_weight", np.float64), ("test_acc", np.float64)])
 
 
 class CheckpointFormatError(ValueError):
@@ -42,6 +53,31 @@ def _state_arrays(state: TrainState) -> dict:
     return arrays
 
 
+def _history_table(history: list, step: int, steps_per_epoch: int) -> np.ndarray:
+    """`history` as _HISTORY_DTYPE rows; ValueError unless row i is step i."""
+    if len(history) != step:
+        raise ValueError(f"history has {len(history)} rows at step {step}")
+    rows = np.arange(step)
+    for name, want in (("step", rows), ("epoch", rows // steps_per_epoch)):
+        have = np.fromiter(map(operator.attrgetter(name), history), np.int64, step)
+        bad = np.flatnonzero(have != want)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"history row {i} has {name} {have[i]}, expected {want[i]}")
+    table = np.empty(step, _HISTORY_DTYPE)
+    for name in _HISTORY_DTYPE.names:
+        table[name] = list(map(operator.attrgetter(name), history))  # None -> NaN
+    return table
+
+
+def _history_rows(table: np.ndarray, steps_per_epoch: int) -> list:
+    """The StepMetrics rows of a _HISTORY_DTYPE table, NaN back to None."""
+    columns = [np.where(np.isnan(table[name]), None, table[name]).tolist()
+               for name in _HISTORY_DTYPE.names]
+    rows = range(table.size)
+    return list(map(StepMetrics, rows, [i // steps_per_epoch for i in rows], *columns))
+
+
 def save_checkpoint(path, config: TrainConfig, state: TrainState) -> None:
     """Atomically write config + full state to `path`."""
     meta = {
@@ -50,14 +86,21 @@ def save_checkpoint(path, config: TrainConfig, state: TrainState) -> None:
         "input_dim": state.encoder.config.input_dim,
         "step": state.step,
         "rng_state": state.rng.bit_generator.state,
-        # __dict__ lists the fields in declaration order, as dataclasses.asdict
-        # would, without its per-value deep copy (about 4x slower at 8192 steps)
-        "history": [vars(m) for m in state.history],
+        "data_sha256": state.data_sha256,
     }
+    history = _history_table(state.history, state.step, config.steps_per_epoch)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta).encode()), **_state_arrays(state))
+        np.savez(fh, meta=np.array(json.dumps(meta).encode()), history=history,
+                 **_state_arrays(state))
     os.replace(tmp, path)
+
+
+def _meta_int(path, meta: dict, key: str, least: int) -> int:
+    value = meta[key]
+    if type(value) is not int or value < least:  # bool is not an integer here
+        raise ValueError(f"{path}: {key} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def load_checkpoint(path):
@@ -66,25 +109,37 @@ def load_checkpoint(path):
     The restored state continues training exactly where the saved one
     stopped: parameters, velocities, rng stream, and history all match
     bit for bit. An array whose shape differs from the configured
-    architecture raises ValueError naming its entry, and a bad config line
-    ConfigError naming the file and line. A file that is not a complete
-    zip checkpoint, or whose history rows are not metrics rows, raises
-    CheckpointFormatError, and one of another format version ValueError.
+    architecture raises ValueError naming its entry, a bad config line
+    ConfigError naming the file and line, and a bad step or input_dim
+    ValueError naming the file and field. A file that is not a complete
+    zip checkpoint, or whose metadata or history table has the wrong
+    shape, raises CheckpointFormatError, and one of another format
+    version ValueError.
     """
+    def incomplete(why):
+        return CheckpointFormatError(f"{path}: not a complete checkpoint: {why}")
+
     try:
         # not np.load: it would read a non-zip file as a .npy or a pickle
         with np.lib.npyio.NpzFile(path, allow_pickle=False) as npz:
             meta = json.loads(npz["meta"].item())
+            if not isinstance(meta, dict):
+                raise incomplete("meta is not a JSON object")
             version = meta.get("format_version")
             if version != FORMAT_VERSION:
                 raise ValueError(
                     f"checkpoint format {version!r} not supported (expected {FORMAT_VERSION})")
-            config = parse_config_lines(meta["config"], source=f"{path}: config")
+            lines = meta["config"]
+            if not isinstance(lines, list) or not all(isinstance(s, str) for s in lines):
+                raise incomplete("config is not a list of lines")
+            config = parse_config_lines(lines, source=f"{path}: config")
+            step = _meta_int(path, meta, "step", 0)
+            input_dim = _meta_int(path, meta, "input_dim", 1)
             # the class count is the prototype rows; every shape is checked below
             prototypes = npz["prototypes"]
             num_classes = prototypes.shape[0] if prototypes.ndim else 1
-            state = new_train_state(config, int(meta["input_dim"]), num_classes,
-                                    np.random.default_rng(0))
+            state = new_train_state(config, input_dim, num_classes,
+                                    np.random.default_rng(0), meta["data_sha256"])
             for name, live in _state_arrays(state).items():
                 saved = npz[name]
                 if saved.shape != live.shape:
@@ -93,8 +148,13 @@ def load_checkpoint(path):
                 live[...] = saved
             state.bank = PrototypeBank(state.bank.prototypes)  # finite, unit-norm rows
             state.rng.bit_generator.state = meta["rng_state"]
-            state.step = int(meta["step"])
-            state.history = [StepMetrics(**row) for row in meta["history"]]
+            state.step = step
+            history = npz["history"]
+            if history.dtype != _HISTORY_DTYPE:
+                raise incomplete(f"history has dtype {history.dtype}, expected {_HISTORY_DTYPE}")
+            if history.shape != (step,):
+                raise incomplete(f"history has shape {history.shape} at step {step}")
+            state.history = _history_rows(history, config.steps_per_epoch)
         return config, state
-    except (EOFError, zipfile.BadZipFile, KeyError, TypeError) as exc:
-        raise CheckpointFormatError(f"{path}: not a complete checkpoint: {exc}") from None
+    except (EOFError, zipfile.BadZipFile, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise incomplete(exc) from None

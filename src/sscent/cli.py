@@ -137,12 +137,16 @@ def _flag_lines(section: str, args, **shown) -> list:
 
 
 def _check_dataset_fits(state, dataset) -> None:
-    """Refuse a dataset whose feature or class count differs from a restored state's."""
+    """Refuse a dataset whose feature or class count, or whose SHA-256,
+    differs from a restored state's."""
     have = (dataset.num_features, dataset.num_classes)
     want = (state.encoder.config.input_dim, state.bank.num_classes)
     if have != want:
         raise ValueError(f"dataset has {have[0]} features and {have[1]} classes, "
                          f"checkpoint expects {want[0]} features and {want[1]} classes")
+    digest = dataset.sha256()
+    if digest != state.data_sha256:
+        raise ValueError(f"dataset has SHA-256 {digest}, checkpoint expects {state.data_sha256}")
 
 
 def _dump_batch(batch: ContrastiveBatch, stream) -> None:

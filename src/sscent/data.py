@@ -12,6 +12,7 @@ coordinate dropout.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -119,6 +120,13 @@ class Dataset:
 
     def split_counts(self) -> dict[str, int]:
         return {tag: int(np.sum(self._mask(tag))) for tag in SPLIT_TAGS}
+
+    def sha256(self) -> str:
+        """Hex SHA-256 of the features, labels and split tags, in row order."""
+        digest = hashlib.sha256(self.features.astype("<f8").tobytes())
+        digest.update(self.labels.astype("<i8").tobytes())
+        digest.update(",".join(self.split.tolist()).encode())
+        return digest.hexdigest()
 
 
 def generate_gaussian_clusters(num_classes: int, dim: int, per_class: int,

@@ -315,12 +315,13 @@ class TrainState:
     opt: OptimizerState
     proto_opt: OptimizerState
     rng: np.random.Generator
+    data_sha256: str  # Dataset.sha256() of the data the run trains on
     step: int = 0
     history: list = field(default_factory=list)
 
 
 def new_train_state(config: TrainConfig, input_dim: int, num_classes: int,
-                    rng: np.random.Generator) -> TrainState:
+                    rng: np.random.Generator, data_sha256: str) -> TrainState:
     """State at step 0 whose generator is `rng`.
 
     Draw order: encoder layer weights in order, then prototype directions.
@@ -334,7 +335,7 @@ def new_train_state(config: TrainConfig, input_dim: int, num_classes: int,
     opt = OptimizerState.for_params(encoder.parameters(), config.momentum)
     proto_opt = OptimizerState.for_params([bank.prototypes], config.momentum)
     return TrainState(encoder=encoder, bank=bank, opt=opt, proto_opt=proto_opt,
-                      rng=rng)
+                      rng=rng, data_sha256=data_sha256)
 
 
 def init_train_state(config: TrainConfig, dataset: Dataset) -> TrainState:
@@ -350,7 +351,7 @@ def init_train_state(config: TrainConfig, dataset: Dataset) -> TrainState:
         missing = np.flatnonzero(present == 0).tolist()
         raise ValueError(f"labeled split is missing classes {missing}")
     return new_train_state(config, dataset.num_features, k,
-                           np.random.default_rng(config.seed))
+                           np.random.default_rng(config.seed), dataset.sha256())
 
 
 def _sample_indices(rng: np.random.Generator, pool_size: int, count: int) -> np.ndarray:

@@ -11,7 +11,9 @@ import pytest
 from sscent import (
     AugmentationPolicy,
     EntropyGate,
+    StepMetrics,
     TrainConfig,
+    cosine_lr,
     evaluate,
     generate_gaussian_clusters,
     init_train_state,
@@ -22,6 +24,7 @@ from sscent import (
     train,
     train_step,
 )
+from sscent import checkpoint
 from sscent.checkpoint import FORMAT_VERSION
 from sscent.cli import main
 
@@ -62,7 +65,7 @@ def test_round_trip_restores_everything_bit_exactly(tmp_path):
     assert any(a is None for a in accs) and any(a is not None for a in accs)
 
 
-def test_format_3_round_trip_with_every_config_key_changed(tmp_path):
+def test_format_4_round_trip_with_every_config_key_changed(tmp_path):
     cfg = TrainConfig(
         labeled_batch_size=3, mu=2, temperature=0.25, eta0=0.05, momentum=0.5,
         epochs=2, steps_per_epoch=3, seed=11, method="ssc", eval_every=2,
@@ -83,16 +86,26 @@ def test_format_3_round_trip_with_every_config_key_changed(tmp_path):
     with np.load(path, allow_pickle=False) as npz:
         files = set(npz.files)
         meta = npz["meta"]
-    assert FORMAT_VERSION == 3
+        history = npz["history"]
+    assert FORMAT_VERSION == 4
     assert meta.dtype.kind == "S"  # ASCII bytes, one byte per character
     meta = json.loads(meta.item().decode("ascii"))
-    assert meta["format_version"] == 3
+    assert meta["format_version"] == 4
     # the stored config is the metrics CSV's config comment block
     comments = [line[2:] for line in csv.read_text().splitlines() if line.startswith("# ")]
     assert meta["config"] == comments[:25]
     assert comments[25].startswith("data.")
-    assert files == {"meta", "param_0", "param_1", "vel_0", "vel_1",
+    assert files == {"meta", "history", "param_0", "param_1", "vel_0", "vel_1",
                      "prototypes", "proto_vel"}
+    assert set(meta) == {"format_version", "config", "input_dim", "step", "rng_state",
+                         "data_sha256"}
+    assert meta["data_sha256"] == ds.sha256()
+    # the history is a table of 40-byte rows, one per step, without step or epoch
+    assert history.shape == (6,) and history.dtype.itemsize == 40
+    assert history.dtype.names == ("lr", "loss", "confident", "entropy_selected",
+                                   "mean_unlabeled_weight", "test_acc")
+    assert np.array_equal(np.isnan(history["test_acc"]),
+                          [m.test_acc is None for m in state.history])
 
     back_cfg, back = load_checkpoint(path)
     assert back_cfg == cfg
@@ -122,7 +135,7 @@ def test_format_1_checkpoint_rejected(tmp_path):
     with open(old, "wb") as fh:
         np.savez(fh, **arrays)
 
-    with pytest.raises(ValueError, match=r"format 1 not supported \(expected 3\)"):
+    with pytest.raises(ValueError, match=r"format 1 not supported \(expected 4\)"):
         load_checkpoint(old)
 
 
@@ -204,12 +217,13 @@ def test_unknown_format_version_rejected(tmp_path):
 
 
 def _rewrite(path, out, edit):
-    """Copy checkpoint `path` to `out` after `edit(arrays, meta)` changes it."""
+    """Copy checkpoint `path` to `out` after `edit(arrays, meta)` changes it;
+    a meta that `edit` returns replaces the whole meta."""
     with np.load(path, allow_pickle=False) as npz:
         arrays = {k: npz[k] for k in npz.files}
     meta = json.loads(arrays["meta"].item())
-    edit(arrays, meta)
-    arrays["meta"] = np.array(json.dumps(meta).encode())
+    replaced = edit(arrays, meta)
+    arrays["meta"] = np.array(json.dumps(meta if replaced is None else replaced).encode())
     with open(out, "wb") as fh:
         np.savez(fh, **arrays)
     return out
@@ -272,26 +286,171 @@ def test_format_2_checkpoint_rejected(tmp_path, capsys):
     old = _rewrite(path, tmp_path / "v2.npz", downgrade)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(old), "--data", str(data)]) == 1
-    assert capsys.readouterr().err == "error: checkpoint format 2 not supported (expected 3)\n"
+    assert capsys.readouterr().err == "error: checkpoint format 2 not supported (expected 4)\n"
+
+
+def test_format_3_checkpoint_rejected(tmp_path, capsys):
+    # format 3 kept the history as a JSON list of rows in the meta
+    ds = fixture_dataset()
+    cfg = fixture_config()
+    state, _ = train(cfg, ds)
+    path = tmp_path / "v4.npz"
+    save_checkpoint(path, cfg, state)
+    data = tmp_path / "data.csv"
+    save_csv(ds, data)
+
+    def downgrade(arrays, meta):
+        meta["format_version"] = 3
+        meta["history"] = [vars(m) for m in state.history]
+        del meta["data_sha256"], arrays["history"]
+
+    old = _rewrite(path, tmp_path / "v3.npz", downgrade)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(old), "--data", str(data)]) == 1
+    assert capsys.readouterr().err == "error: checkpoint format 3 not supported (expected 4)\n"
+
+
+@pytest.mark.parametrize("row, field, message", [
+    (5, "step", "history row 5 has step 6, expected 5"),
+    (6, "epoch", "history row 6 has epoch 2, expected 1"),
+])
+def test_history_out_of_step_is_not_saved(tmp_path, row, field, message):
+    ds = fixture_dataset()
+    cfg = fixture_config()  # 4 steps per epoch
+    state, _ = train(cfg, ds)
+    setattr(state.history[row], field, getattr(state.history[row], field) + 1)
+    path = tmp_path / "gap.npz"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        save_checkpoint(path, cfg, state)
+    state.history.pop()
+    with pytest.raises(ValueError, match="^history has 7 rows at step 8$"):
+        save_checkpoint(path, cfg, state)
+    assert not path.exists()
+
+
+def test_reference_length_history_round_trips_byte_for_byte(tmp_path):
+    # the paper preset's 262,144 steps, an eval every 1,024th
+    ds = fixture_dataset()
+    cfg = fixture_config(epochs=256, steps_per_epoch=1024)
+    state = init_train_state(cfg, ds)
+    n = cfg.epochs * cfg.steps_per_epoch
+    rng = np.random.default_rng(3)
+    loss, weight, acc = rng.random((3, n)).tolist()
+    counts = rng.integers(0, 100, (2, n)).tolist()
+    state.history = [
+        StepMetrics(step=i, epoch=i // 1024, lr=cosine_lr(i, n, cfg.eta0), loss=loss[i],
+                    confident=counts[0][i], entropy_selected=counts[1][i],
+                    mean_unlabeled_weight=weight[i],
+                    test_acc=acc[i] if i % 1024 == 1023 else None)
+        for i in range(n)]
+    state.step = n
+    first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+    save_checkpoint(first, cfg, state)
+    _, back = load_checkpoint(first)
+    assert back.history == state.history
+    assert sum(m.test_acc is not None for m in back.history) == 256
+    save_checkpoint(second, cfg, back)
+    assert second.read_bytes() == first.read_bytes()
+
+
+class _Crash(Exception):
+    """Stands in for a process killed after a checkpoint was written."""
+
+
+def test_cli_run_killed_after_a_periodic_save_resumes_byte_identically(tmp_path, monkeypatch,
+                                                                       capsys):
+    ds = fixture_dataset()
+    data = tmp_path / "data.csv"
+    save_csv(ds, data)
+    flags = ["--set", "train.labeled_batch_size=4", "--set", "train.mu=2",
+             "--set", "encoder.hidden_dims=8", "--set", "encoder.embed_dim=4",
+             "--set", "train.eval_every=3", "--set", "train.checkpoint_every=5",
+             "--epochs", "3", "--steps-per-epoch", "4"]
+    full_csv, full_ckpt = tmp_path / "full.csv", tmp_path / "full.npz"
+    assert main(["train", "--data", str(data), *flags, "--metrics-out", str(full_csv),
+                 "--checkpoint-out", str(full_ckpt)]) == 0
+
+    real_save = checkpoint.save_checkpoint
+
+    def save_then_crash(*args, **kwargs):
+        real_save(*args, **kwargs)
+        raise _Crash
+
+    part_csv, part_ckpt = tmp_path / "part.csv", tmp_path / "part.npz"
+    monkeypatch.setattr(checkpoint, "save_checkpoint", save_then_crash)
+    with pytest.raises(_Crash):
+        main(["train", "--data", str(data), *flags, "--metrics-out", str(part_csv),
+              "--checkpoint-out", str(part_ckpt)])
+    monkeypatch.undo()
+    assert not part_csv.exists()
+    assert load_checkpoint(part_ckpt)[1].step == 5
+
+    resumed_csv, resumed_ckpt = tmp_path / "resumed.csv", tmp_path / "resumed.npz"
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--resume", str(part_ckpt),
+                 "--metrics-out", str(resumed_csv),
+                 "--checkpoint-out", str(resumed_ckpt)]) == 0
+    assert resumed_csv.read_bytes() == full_csv.read_bytes()
+    assert resumed_ckpt.read_bytes() == full_ckpt.read_bytes()
+
+
+def _history_with(table, dtype):
+    """`table`'s rows in `dtype`: fields it lacks are zero, extra ones dropped."""
+    out = np.zeros(table.shape, dtype)
+    for name in set(dtype.names) & set(table.dtype.names):
+        out[name] = table[name]
+    return out
+
+
+def _set(key, value):
+    return lambda arrays, meta: meta.__setitem__(key, value)
+
+
+def _set_history(make):
+    return lambda arrays, meta: arrays.__setitem__("history", make(arrays["history"]))
 
 
 @pytest.mark.parametrize("edit, code, message", [
     # the config lines go through the config parser: bad lines exit 1
-    (lambda meta: meta["config"].append("train.bogus = 1"), 1,
+    (lambda arrays, meta: meta["config"].append("train.bogus = 1"), 1,
      "{path}: config, line 26: unknown config key 'train.bogus'"),
-    (lambda meta: meta["config"].__setitem__(12, "gate.tau = x"), 1,
+    (lambda arrays, meta: meta["config"].__setitem__(12, "gate.tau = x"), 1,
      "{path}: config, line 13: bad value for gate.tau: could not convert string to float: 'x'"),
-    (lambda meta: meta["config"].__setitem__(12, "gate.tau = 2.0"), 1,
+    (lambda arrays, meta: meta["config"].__setitem__(12, "gate.tau = 2.0"), 1,
      "{path}: config: tau must be in (0, 1], got 2.0"),
-    # a history row that is not a metrics row makes the file incomplete: exit 2
-    (lambda meta: meta["history"][0].update(bogus=1), 2,
-     "{path}: not a complete checkpoint: StepMetrics.__init__() got an unexpected "
-     "keyword argument 'bogus'"),
-    (lambda meta: meta["history"][-1].pop("loss"), 2,
-     "{path}: not a complete checkpoint: StepMetrics.__init__() missing 1 required "
-     "positional argument: 'loss'"),
-], ids=["unknown-key", "bad-value", "out-of-range", "unknown-history-field",
-        "missing-history-field"])
+    # a meta value out of range names the file and the field: exit 1
+    (_set("step", "x"), 1, "{path}: step must be an integer >= 0, got 'x'"),
+    (_set("step", -1), 1, "{path}: step must be an integer >= 0, got -1"),
+    (_set("step", 8.0), 1, "{path}: step must be an integer >= 0, got 8.0"),
+    (_set("input_dim", 0), 1, "{path}: input_dim must be an integer >= 1, got 0"),
+    # a meta or history of the wrong shape makes the file incomplete: exit 2
+    (lambda arrays, meta: [1, 2], 2,
+     "{path}: not a complete checkpoint: meta is not a JSON object"),
+    (_set("config", "train.mu = 2"), 2,
+     "{path}: not a complete checkpoint: config is not a list of lines"),
+    (lambda arrays, meta: meta["config"].__setitem__(1, 2), 2,
+     "{path}: not a complete checkpoint: config is not a list of lines"),
+    (_set_history(lambda t: _history_with(t, np.dtype(t.dtype.descr + [("bogus", "<i4")]))), 2,
+     "{path}: not a complete checkpoint: history has dtype [('lr', '<f8'), ('loss', '<f8'), "
+     "('confident', '<i4'), ('entropy_selected', '<i4'), ('mean_unlabeled_weight', '<f8'), "
+     "('test_acc', '<f8'), ('bogus', '<i4')], expected [('lr', '<f8'), ('loss', '<f8'), "
+     "('confident', '<i4'), ('entropy_selected', '<i4'), ('mean_unlabeled_weight', '<f8'), "
+     "('test_acc', '<f8')]"),
+    (_set_history(lambda t: _history_with(t, np.dtype([d for d in t.dtype.descr
+                                                        if d[0] != "loss"]))), 2,
+     "{path}: not a complete checkpoint: history has dtype [('lr', '<f8'), "
+     "('confident', '<i4'), ('entropy_selected', '<i4'), ('mean_unlabeled_weight', '<f8'), "
+     "('test_acc', '<f8')], expected [('lr', '<f8'), ('loss', '<f8'), "
+     "('confident', '<i4'), ('entropy_selected', '<i4'), ('mean_unlabeled_weight', '<f8'), "
+     "('test_acc', '<f8')]"),
+    (_set_history(lambda t: t[:-1]), 2,
+     "{path}: not a complete checkpoint: history has shape (7,) at step 8"),
+    (lambda arrays, meta: arrays.__delitem__("history"), 2,
+     "{path}: not a complete checkpoint: 'history is not a file in the archive'"),
+], ids=["unknown-key", "bad-value", "out-of-range", "step-not-integer", "step-negative",
+        "step-float", "input-dim-zero", "meta-not-object", "config-not-list",
+        "config-item-not-string", "unknown-history-field", "missing-history-field",
+        "short-history", "no-history"])
 def test_bad_meta_is_one_error_line(tmp_path, capsys, edit, code, message):
     ds = fixture_dataset()
     cfg = fixture_config()
@@ -300,7 +459,7 @@ def test_bad_meta_is_one_error_line(tmp_path, capsys, edit, code, message):
     save_checkpoint(path, cfg, state)
     data = tmp_path / "data.csv"
     save_csv(ds, data)
-    bad = _rewrite(path, tmp_path / "bad.npz", lambda arrays, meta: edit(meta))
+    bad = _rewrite(path, tmp_path / "bad.npz", edit)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == code
     assert capsys.readouterr().err == f"error: {message.format(path=bad)}\n"

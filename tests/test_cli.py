@@ -445,6 +445,24 @@ def test_dataset_of_another_shape_is_refused(trained, fresh_ckpt, tmp_path, caps
     assert not metrics.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "resume-finished", "resume-step0"])
+def test_dataset_of_the_same_shape_but_other_data_is_refused(trained, fresh_ckpt, data_csv,
+                                                             tmp_path, capsys, command):
+    other = tmp_path / "seed8.csv"
+    assert main([a if a != "7" else "8" for a in GEN_ARGS] + ["--out", str(other)]) == 0
+    ckpt = fresh_ckpt if command == "resume-step0" else trained["ckpt"]
+    metrics = tmp_path / "m.csv"
+    argv = _argv(command.partition("-")[0], ckpt, str(other))
+    if command != "eval":
+        argv += ["--metrics-out", str(metrics)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset has SHA-256 {load_csv(other).sha256()}, "
+        f"checkpoint expects {load_csv(data_csv).sha256()}\n")
+    assert not metrics.exists()
+
+
 def test_eval_missing_checkpoint_is_io_error(data_csv, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(tmp_path / "ghost.npz"),
                "--data", data_csv])
@@ -464,9 +482,11 @@ def _damaged_checkpoint(good, tmp_path, damage):
     elif damage == "npy":
         with open(path, "wb") as fh:
             np.save(fh, np.zeros(3))
-    else:  # an .npz without its meta entry
+    else:  # an .npz without its meta entry, or with one that is not JSON
         with np.load(good, allow_pickle=False) as npz:
             arrays = {k: npz[k] for k in npz.files if k != "meta"}
+        if damage == "meta_not_json":
+            arrays["meta"] = np.array(b"format_version = 4")
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
     return path
@@ -479,7 +499,7 @@ def _argv(command, ckpt, data_csv):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "empty", "first_3_bytes", "text", "npy",
-                                    "no_meta"])
+                                    "no_meta", "meta_not_json"])
 @pytest.mark.parametrize("command", ["eval", "resume"])
 def test_broken_checkpoint_is_a_one_line_format_error(trained, data_csv, tmp_path,
                                                       capsys, command, damage):
@@ -506,7 +526,7 @@ def test_checkpoint_of_another_format_version_fails_validation(trained, data_csv
     capsys.readouterr()
     rc = main(_argv(command, ckpt, data_csv))
     assert rc == 1
-    assert capsys.readouterr().err == "error: checkpoint format 1 not supported (expected 3)\n"
+    assert capsys.readouterr().err == "error: checkpoint format 1 not supported (expected 4)\n"
 
 
 # ------------------------------------------------------------- gradcheck

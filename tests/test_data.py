@@ -259,6 +259,23 @@ def test_csv_round_trip_is_lossless(tmp_path):
     assert np.array_equal(back.split, ds.split)
 
 
+def test_sha256_survives_the_csv_round_trip_and_sees_every_column(tmp_path):
+    ds = split_dataset(ratio_fixture(per_class=20), labels_per_class=4,
+                       test_fraction=0.2, seed=5)
+    path = tmp_path / "data.csv"
+    save_csv(ds, path)
+    digest = ds.sha256()
+    assert len(digest) == 64 and load_csv(path).sha256() == digest
+    features, labels, split = ds.features.copy(), ds.labels.copy(), ds.split.copy()
+    features[7, 2] = np.nextafter(features[7, 2], np.inf)
+    labels[labels == 0] = 3
+    split[0] = "labeled" if split[0] == "test" else "test"
+    for changed in (Dataset(features, ds.labels, ds.split),
+                    Dataset(ds.features, labels, ds.split),
+                    Dataset(ds.features, ds.labels, split)):
+        assert changed.sha256() != digest
+
+
 def test_csv_header_and_float_formatting(tmp_path):
     ds = Dataset(features=np.array([[0.1, 0.2]]), labels=np.array([1]),
                  split=np.array(["labeled"], dtype=object))
