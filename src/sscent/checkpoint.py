@@ -7,12 +7,15 @@ stored as ASCII bytes. The metadata holds the config (the same
 `section.key = value` lines the metrics CSV carries, read back through
 the config parser), the feature count, the step counter, the generator
 state, and the SHA-256 of the dataset the run trains on. The history
-holds row i for step i in `_HISTORY_DTYPE` columns, 40 bytes a row: a
-row's step is its index and its epoch step // steps_per_epoch, and NaN
-stands for None. Every float survives the round trip exactly: the config
-lines use shortest round-trip formatting and arrays are stored raw.
-Format 3, which kept the history as JSON in the metadata, and older
-formats are refused.
+table is the run's `trainer.MetricHistory` rows as they are kept in
+memory: row i for step i in `trainer.HISTORY_DTYPE` columns, 40 bytes a
+row, a row's step its index and its epoch step // steps_per_epoch, NaN
+for None. A save writes that table as it is and a load wraps the table
+it reads, so neither builds a Python object per step. Every float
+survives the round trip exactly: the config lines use shortest
+round-trip formatting and arrays are stored raw. A load refuses any
+non-finite array. Format 3, which kept the history as JSON in the
+metadata, and older formats are refused.
 Writes go to a temp file first and are renamed into place, so a crash
 never leaves a truncated checkpoint behind.
 """
@@ -20,24 +23,18 @@ never leaves a truncated checkpoint behind.
 from __future__ import annotations
 
 import json
-import operator
 import os
 import zipfile
 
 import numpy as np
 
 from .pseudo import PrototypeBank
-from .trainer import (StepMetrics, TrainConfig, TrainState, config_to_lines,
+from .trainer import (HISTORY_DTYPE, MetricHistory, TrainConfig, TrainState, config_to_lines,
                       new_train_state, parse_config_lines)
 
 __all__ = ["FORMAT_VERSION", "CheckpointFormatError", "load_checkpoint", "save_checkpoint"]
 
 FORMAT_VERSION = 4
-
-# one row per step, in StepMetrics field order without step and epoch
-_HISTORY_DTYPE = np.dtype([("lr", np.float64), ("loss", np.float64),
-                           ("confident", np.int32), ("entropy_selected", np.int32),
-                           ("mean_unlabeled_weight", np.float64), ("test_acc", np.float64)])
 
 
 class CheckpointFormatError(ValueError):
@@ -53,31 +50,6 @@ def _state_arrays(state: TrainState) -> dict:
     return arrays
 
 
-def _history_table(history: list, step: int, steps_per_epoch: int) -> np.ndarray:
-    """`history` as _HISTORY_DTYPE rows; ValueError unless row i is step i."""
-    if len(history) != step:
-        raise ValueError(f"history has {len(history)} rows at step {step}")
-    rows = np.arange(step)
-    for name, want in (("step", rows), ("epoch", rows // steps_per_epoch)):
-        have = np.fromiter(map(operator.attrgetter(name), history), np.int64, step)
-        bad = np.flatnonzero(have != want)
-        if bad.size:
-            i = bad[0]
-            raise ValueError(f"history row {i} has {name} {have[i]}, expected {want[i]}")
-    table = np.empty(step, _HISTORY_DTYPE)
-    for name in _HISTORY_DTYPE.names:
-        table[name] = list(map(operator.attrgetter(name), history))  # None -> NaN
-    return table
-
-
-def _history_rows(table: np.ndarray, steps_per_epoch: int) -> list:
-    """The StepMetrics rows of a _HISTORY_DTYPE table, NaN back to None."""
-    columns = [np.where(np.isnan(table[name]), None, table[name]).tolist()
-               for name in _HISTORY_DTYPE.names]
-    rows = range(table.size)
-    return list(map(StepMetrics, rows, [i // steps_per_epoch for i in rows], *columns))
-
-
 def save_checkpoint(path, config: TrainConfig, state: TrainState) -> None:
     """Atomically write config + full state to `path`."""
     meta = {
@@ -88,10 +60,11 @@ def save_checkpoint(path, config: TrainConfig, state: TrainState) -> None:
         "rng_state": state.rng.bit_generator.state,
         "data_sha256": state.data_sha256,
     }
-    history = _history_table(state.history, state.step, config.steps_per_epoch)
+    if len(state.history) != state.step:
+        raise ValueError(f"history has {len(state.history)} rows at step {state.step}")
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta).encode()), history=history,
+        np.savez(fh, meta=np.array(json.dumps(meta).encode()), history=state.history.table(),
                  **_state_arrays(state))
     os.replace(tmp, path)
 
@@ -109,7 +82,9 @@ def load_checkpoint(path):
     The restored state continues training exactly where the saved one
     stopped: parameters, velocities, rng stream, and history all match
     bit for bit. An array whose shape differs from the configured
-    architecture raises ValueError naming its entry, a bad config line
+    architecture raises ValueError naming its entry, a non-finite array,
+    a prototype row off the unit sphere or a generator state of another
+    kind ValueError naming the file, a bad config line
     ConfigError naming the file and line, and a bad step or input_dim
     ValueError naming the file and field. A file that is not a complete
     zip checkpoint, or whose metadata or history table has the wrong
@@ -145,16 +120,21 @@ def load_checkpoint(path):
                 if saved.shape != live.shape:
                     raise ValueError(f"{name} shape {saved.shape} does not match "
                                      f"the configured architecture {live.shape}")
+                if not np.isfinite(saved).all():
+                    raise ValueError(f"{path}: {name} must be finite")
                 live[...] = saved
-            state.bank = PrototypeBank(state.bank.prototypes)  # finite, unit-norm rows
-            state.rng.bit_generator.state = meta["rng_state"]
+            try:
+                state.bank = PrototypeBank(state.bank.prototypes)  # unit-norm rows
+                state.rng.bit_generator.state = meta["rng_state"]
+            except ValueError as exc:  # neither message names the file
+                raise ValueError(f"{path}: {exc}") from None
             state.step = step
             history = npz["history"]
-            if history.dtype != _HISTORY_DTYPE:
-                raise incomplete(f"history has dtype {history.dtype}, expected {_HISTORY_DTYPE}")
+            if history.dtype != HISTORY_DTYPE:
+                raise incomplete(f"history has dtype {history.dtype}, expected {HISTORY_DTYPE}")
             if history.shape != (step,):
                 raise incomplete(f"history has shape {history.shape} at step {step}")
-            state.history = _history_rows(history, config.steps_per_epoch)
+            state.history = MetricHistory(config.steps_per_epoch, history)
         return config, state
     except (EOFError, zipfile.BadZipFile, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise incomplete(exc) from None

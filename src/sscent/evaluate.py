@@ -49,17 +49,18 @@ def pseudo_metrics(decisions, hidden_labels):
 
     Coverage counts Confident and EntropySelected samples. Precision is
     computed over that same set and is None when it is empty (never 0 or 1
-    by convention).
+    by convention) or when `hidden_labels` is None (the truth is unknown).
     """
-    hidden = np.asarray(hidden_labels, dtype=np.int64)
-    if len(decisions) != hidden.shape[0]:
-        raise ValueError(
-            f"{len(decisions)} decisions vs {hidden.shape[0]} labels")
+    if hidden_labels is not None:
+        hidden = np.asarray(hidden_labels, dtype=np.int64)
+        if len(decisions) != hidden.shape[0]:
+            raise ValueError(
+                f"{len(decisions)} decisions vs {hidden.shape[0]} labels")
     if len(decisions) == 0:
         raise ValueError("no decisions to score")
     selected = decisions["kind"] != DecisionKind.REJECTED
     coverage = float(np.mean(selected))
-    if not selected.any():
+    if hidden_labels is None or not selected.any():
         return coverage, None
     correct = decisions["assigned_label"][selected] == hidden[selected]
     return coverage, float(np.mean(correct))
@@ -89,7 +90,8 @@ def build_report(encoder, bank: PrototypeBank, dataset: Dataset,
                  entropy_gate_enabled: bool, t_prime: float,
                  histogram_bins: int = 10) -> EvalReport:
     """Full report: test accuracy plus gate behavior over the un-augmented
-    unlabeled split, scored against its hidden labels."""
+    unlabeled split, scored against its hidden labels. When the dataset
+    hides them, precision is None and coverage is still reported."""
     unlabeled = dataset.unlabeled_features()
     if unlabeled.shape[0] == 0:
         raise ValueError("dataset has no unlabeled rows to report on")
@@ -97,7 +99,11 @@ def build_report(encoder, bank: PrototypeBank, dataset: Dataset,
     probs = class_probabilities(z, bank, t_prime)
     decisions = assign_pseudo_labels(probs, gate, lambda_reject,
                                      entropy_gate_enabled)
-    coverage, precision = pseudo_metrics(decisions, dataset.unlabeled_true_labels())
+    try:
+        truth = dataset.unlabeled_true_labels()
+    except ValueError:  # hidden in this export
+        truth = None
+    coverage, precision = pseudo_metrics(decisions, truth)
     kinds = decisions["kind"].tolist()
     accuracy = evaluate(encoder, bank, dataset.test_features(),
                         dataset.test_labels(), t_prime)

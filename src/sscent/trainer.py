@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,8 +30,10 @@ from .losses import ContrastiveBatch, ssc_e_loss, ssc_loss
 from .pseudo import DecisionKind, EntropyGate, PrototypeBank, assign_pseudo_labels, class_probabilities
 
 __all__ = [
+    "HISTORY_DTYPE",
     "METRICS_HEADER",
     "ConfigError",
+    "MetricHistory",
     "NonFiniteLossError",
     "StepMetrics",
     "TrainConfig",
@@ -270,23 +273,101 @@ class StepMetrics:
     test_acc: Optional[float] = None
 
 
+# one row per step, in StepMetrics field order without step and epoch
+HISTORY_DTYPE = np.dtype([("lr", np.float64), ("loss", np.float64),
+                          ("confident", np.int32), ("entropy_selected", np.int32),
+                          ("mean_unlabeled_weight", np.float64), ("test_acc", np.float64)])
+
+_row_values = operator.attrgetter(*HISTORY_DTYPE.names)
+
+# rows turned into Python objects at a time when reading or writing a history
+_BLOCK_ROWS = 1024
+
+
+def _csv_rows(steps, epochs, table: np.ndarray) -> list:
+    """CSV rows from whole columns: integers by str(), floats by repr(), NaN empty."""
+    cells = [list(map(str, steps)), list(map(str, epochs))]
+    for name in HISTORY_DTYPE.names:
+        values = table[name].tolist()
+        cells.append(["" if x != x else repr(x) for x in values]
+                     if HISTORY_DTYPE[name].kind == "f" else list(map(str, values)))
+    return list(map(",".join, zip(*cells)))
+
+
 def format_metrics_row(m: StepMetrics) -> str:
     """The CSV row of `m`; a float cell that is None is left empty."""
-    def real(x):
-        return "" if x is None else repr(float(x))
-
-    return ",".join([str(m.step), str(m.epoch), real(m.lr), real(m.loss),
-                     str(m.confident), str(m.entropy_selected),
-                     real(m.mean_unlabeled_weight), real(m.test_acc)])
+    return _csv_rows([m.step], [m.epoch], np.array([_row_values(m)], HISTORY_DTYPE))[0]
 
 
-def write_metrics(path, history, comments=()) -> None:
-    """Metrics CSV: `# key = value` comment block, header, one row per step."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(METRICS_HEADER)
-    lines.extend(format_metrics_row(m) for m in history)
+class MetricHistory:
+    """The metric rows of a run, append-only, row i for step i.
+
+    Rows are kept as one array of HISTORY_DTYPE records whose capacity
+    doubles as rows arrive; None is stored as NaN. A row's step is its
+    index and its epoch step // steps_per_epoch. Indexing, slicing and
+    iteration give StepMetrics copies (NaN back to None); `table()` gives
+    the filled rows as a view. A given `table` of HISTORY_DTYPE rows, such
+    as a loaded checkpoint's, is wrapped without a copy.
+    """
+
+    def __init__(self, steps_per_epoch: int, table: Optional[np.ndarray] = None):
+        self.steps_per_epoch = steps_per_epoch
+        self._rows = np.empty(0, HISTORY_DTYPE) if table is None else table
+        self._size = self._rows.size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def append(self, m: StepMetrics) -> None:
+        """Copy the values of `m` in as the next row; ValueError unless
+        `m` is that row's step and epoch."""
+        n = self._size
+        for name, want in (("step", n), ("epoch", n // self.steps_per_epoch)):
+            have = getattr(m, name)
+            if have != want:
+                raise ValueError(f"history row {n} has {name} {have}, expected {want}")
+        if n == self._rows.size:
+            grown = np.empty(max(2 * n, 64), HISTORY_DTYPE)
+            grown[:n] = self._rows
+            self._rows = grown
+        self._rows[n] = _row_values(m)
+        self._size = n + 1
+
+    def table(self) -> np.ndarray:
+        """The filled rows, a view that later appends may detach from."""
+        return self._rows[:self._size]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            steps = range(self._size)[key]
+            table = self.table()[key]
+            columns = [[None if x != x else x for x in table[name].tolist()]
+                       if HISTORY_DTYPE[name].kind == "f" else table[name].tolist()
+                       for name in HISTORY_DTYPE.names]
+            epochs = [step // self.steps_per_epoch for step in steps]
+            return list(map(StepMetrics, steps, epochs, *columns))
+        i = range(self._size)[key]  # IndexError when out of range
+        return self[i:i + 1][0]
+
+    def __iter__(self):
+        for start in range(0, self._size, _BLOCK_ROWS):
+            yield from self[start:start + _BLOCK_ROWS]
+
+
+def write_metrics(path, history: MetricHistory, comments=()) -> None:
+    """Metrics CSV: `# key = value` comment block, header, one row per step.
+
+    Rows are formatted from whole columns, a block at a time, so the
+    strings held at once stay few however long the run.
+    """
+    table = history.table()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"# {c}\n" for c in comments) + METRICS_HEADER + "\n")
+        for start in range(0, table.size, _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            steps = np.arange(start, start + block.size)
+            rows = _csv_rows(steps.tolist(), (steps // history.steps_per_epoch).tolist(), block)
+            fh.write("\n".join(rows) + "\n")
 
 
 def read_metrics(path):
@@ -316,8 +397,8 @@ class TrainState:
     proto_opt: OptimizerState
     rng: np.random.Generator
     data_sha256: str  # Dataset.sha256() of the data the run trains on
+    history: MetricHistory
     step: int = 0
-    history: list = field(default_factory=list)
 
 
 def new_train_state(config: TrainConfig, input_dim: int, num_classes: int,
@@ -335,7 +416,8 @@ def new_train_state(config: TrainConfig, input_dim: int, num_classes: int,
     opt = OptimizerState.for_params(encoder.parameters(), config.momentum)
     proto_opt = OptimizerState.for_params([bank.prototypes], config.momentum)
     return TrainState(encoder=encoder, bank=bank, opt=opt, proto_opt=proto_opt,
-                      rng=rng, data_sha256=data_sha256)
+                      rng=rng, data_sha256=data_sha256,
+                      history=MetricHistory(config.steps_per_epoch))
 
 
 def init_train_state(config: TrainConfig, dataset: Dataset) -> TrainState:
@@ -482,7 +564,8 @@ def train(config: TrainConfig, dataset: Dataset, state: Optional[TrainState] = N
     continues its metric history, so the final CSV matches an
     uninterrupted run byte for byte.
 
-    Returns (state, history).
+    Returns (state, history): the history is state.history, whose rows
+    read as StepMetrics.
     """
     labeled_x = dataset.labeled_features()
     labeled_y = dataset.labeled_labels()

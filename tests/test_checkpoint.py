@@ -26,6 +26,7 @@ from sscent import (
 )
 from sscent import checkpoint
 from sscent.checkpoint import FORMAT_VERSION
+from sscent.trainer import MetricHistory
 from sscent.cli import main
 
 
@@ -59,7 +60,7 @@ def test_round_trip_restores_everything_bit_exactly(tmp_path):
     assert np.array_equal(back.proto_opt.velocities[0],
                           state.proto_opt.velocities[0])
     assert back.rng.bit_generator.state == state.rng.bit_generator.state
-    assert back.history == state.history
+    assert list(back.history) == list(state.history)
     # history keeps both blank and recorded eval entries
     accs = [m.test_acc for m in back.history]
     assert any(a is None for a in accs) and any(a is not None for a in accs)
@@ -114,7 +115,7 @@ def test_format_4_round_trip_with_every_config_key_changed(tmp_path):
         assert np.array_equal(a, b)
     assert np.array_equal(back.bank.prototypes, state.bank.prototypes)
     assert back.rng.bit_generator.state == state.rng.bit_generator.state
-    assert back.history == state.history
+    assert list(back.history) == list(state.history)
 
 
 def test_format_1_checkpoint_rejected(tmp_path):
@@ -317,13 +318,19 @@ def test_format_3_checkpoint_rejected(tmp_path, capsys):
 def test_history_out_of_step_is_not_saved(tmp_path, row, field, message):
     ds = fixture_dataset()
     cfg = fixture_config()  # 4 steps per epoch
-    state, _ = train(cfg, ds)
-    setattr(state.history[row], field, getattr(state.history[row], field) + 1)
-    path = tmp_path / "gap.npz"
+    state, history = train(cfg, ds)
+    rows = list(history)
+    # a row out of step is refused when it is appended, so no save sees it
+    state.history = MetricHistory(cfg.steps_per_epoch)
+    for m in rows[:row]:
+        state.history.append(m)
+    setattr(rows[row], field, getattr(rows[row], field) + 1)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        save_checkpoint(path, cfg, state)
-    state.history.pop()
-    with pytest.raises(ValueError, match="^history has 7 rows at step 8$"):
+        state.history.append(rows[row])
+    assert len(state.history) == row
+    # a history shorter than the step count is refused by the save
+    path = tmp_path / "gap.npz"
+    with pytest.raises(ValueError, match=f"^history has {row} rows at step 8$"):
         save_checkpoint(path, cfg, state)
     assert not path.exists()
 
@@ -337,17 +344,18 @@ def test_reference_length_history_round_trips_byte_for_byte(tmp_path):
     rng = np.random.default_rng(3)
     loss, weight, acc = rng.random((3, n)).tolist()
     counts = rng.integers(0, 100, (2, n)).tolist()
-    state.history = [
-        StepMetrics(step=i, epoch=i // 1024, lr=cosine_lr(i, n, cfg.eta0), loss=loss[i],
-                    confident=counts[0][i], entropy_selected=counts[1][i],
-                    mean_unlabeled_weight=weight[i],
-                    test_acc=acc[i] if i % 1024 == 1023 else None)
-        for i in range(n)]
+    rows = [StepMetrics(step=i, epoch=i // 1024, lr=cosine_lr(i, n, cfg.eta0), loss=loss[i],
+                        confident=counts[0][i], entropy_selected=counts[1][i],
+                        mean_unlabeled_weight=weight[i],
+                        test_acc=acc[i] if i % 1024 == 1023 else None)
+            for i in range(n)]
+    for m in rows:
+        state.history.append(m)
     state.step = n
     first, second = tmp_path / "first.npz", tmp_path / "second.npz"
     save_checkpoint(first, cfg, state)
     _, back = load_checkpoint(first)
-    assert back.history == state.history
+    assert list(back.history) == rows
     assert sum(m.test_acc is not None for m in back.history) == 256
     save_checkpoint(second, cfg, back)
     assert second.read_bytes() == first.read_bytes()
@@ -406,6 +414,10 @@ def _set(key, value):
     return lambda arrays, meta: meta.__setitem__(key, value)
 
 
+def _set_array(name, make):
+    return lambda arrays, meta: arrays.__setitem__(name, make(arrays[name]))
+
+
 def _set_history(make):
     return lambda arrays, meta: arrays.__setitem__("history", make(arrays["history"]))
 
@@ -447,10 +459,22 @@ def _set_history(make):
      "{path}: not a complete checkpoint: history has shape (7,) at step 8"),
     (lambda arrays, meta: arrays.__delitem__("history"), 2,
      "{path}: not a complete checkpoint: 'history is not a file in the archive'"),
+    # an array that no run could have written names the file and the entry: exit 1
+    (_set_array("param_0", lambda a: np.full_like(a, np.nan)), 1,
+     "{path}: param_0 must be finite"),
+    (_set_array("vel_1", lambda a: np.full_like(a, np.inf)), 1,
+     "{path}: vel_1 must be finite"),
+    (_set_array("prototypes", lambda a: np.where(np.eye(*a.shape, dtype=bool), np.nan, a)), 1,
+     "{path}: prototypes must be finite"),
+    (_set_array("prototypes", lambda a: 2 * a), 1,
+     "{path}: prototype rows must be unit norm (worst deviation 1.00e+00)"),
+    (lambda arrays, meta: meta["rng_state"].__setitem__("bit_generator", "SFC64"), 1,
+     "{path}: state must be for a PCG64 RNG"),
 ], ids=["unknown-key", "bad-value", "out-of-range", "step-not-integer", "step-negative",
         "step-float", "input-dim-zero", "meta-not-object", "config-not-list",
         "config-item-not-string", "unknown-history-field", "missing-history-field",
-        "short-history", "no-history"])
+        "short-history", "no-history", "param-nan", "velocity-inf", "prototype-nan",
+        "prototype-not-unit", "rng-other-generator"])
 def test_bad_meta_is_one_error_line(tmp_path, capsys, edit, code, message):
     ds = fixture_dataset()
     cfg = fixture_config()

@@ -378,6 +378,19 @@ def test_eval_prints_report(trained, data_csv, capsys):
     assert "eval.t_prime = 0.1" in out
 
 
+def test_eval_on_hidden_labels_reports_precision_as_na(tmp_path, capsys):
+    data = tmp_path / "hidden.csv"
+    ckpt = tmp_path / "c.npz"
+    assert main(GEN_ARGS + ["--hide-unlabeled", "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), *FAST_SET, "--epochs", "1",
+                 "--checkpoint-out", str(ckpt)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
+    out = capsys.readouterr().out
+    assert "pseudo precision    n/a\n" in out
+    assert re.search(r"^pseudo coverage     [01]\.\d{4}$", out, re.M)
+
+
 def test_eval_t_prime_flag_is_echoed(trained, data_csv, capsys):
     rc = main(["eval", "--checkpoint", str(trained["ckpt"]),
                "--data", data_csv, "--t-prime", "0.5"])

@@ -149,6 +149,12 @@ def test_pseudo_metrics_hand_counted_mixture():
     assert precision == 3 / 4
 
 
+def test_pseudo_metrics_without_truth_report_coverage_only():
+    decisions = make_decisions([(DecisionKind.CONFIDENT, 0, 1.0),
+                                (DecisionKind.REJECTED, 1, 0.2)])
+    assert pseudo_metrics(decisions, None) == (0.5, None)
+
+
 def test_pseudo_metrics_validation():
     decisions = make_decisions([(DecisionKind.CONFIDENT, 0, 1.0)])
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from sscent import (
     train_step,
 )
 from sscent.trainer import (
+    HISTORY_DTYPE,
     METRICS_HEADER,
+    MetricHistory,
     StepMetrics,
     config_to_lines,
     cosine_lr,
@@ -220,7 +223,7 @@ def test_init_state_deterministic():
     for pa, pb in zip(a.encoder.parameters(), b.encoder.parameters()):
         assert np.array_equal(pa, pb)
     assert np.array_equal(a.bank.prototypes, b.bank.prototypes)
-    assert a.step == 0 and a.history == []
+    assert a.step == 0 and len(a.history) == 0
 
 
 def test_init_state_requires_full_class_coverage():
@@ -449,7 +452,7 @@ def test_train_step_raises_on_non_finite_loss(monkeypatch):
 def test_train_zero_epochs_returns_empty_history():
     ds = tiny_dataset()
     state, history = train(tiny_config(epochs=0), ds)
-    assert history == []
+    assert len(history) == 0
     assert state.step == 0
 
 
@@ -586,7 +589,10 @@ def test_metrics_header_and_blank_test_acc(tmp_path):
             StepMetrics(step=1, epoch=0, lr=0.25, loss=1.0, confident=4,
                         entropy_selected=0, mean_unlabeled_weight=1.0,
                         test_acc=0.875)]
-    write_metrics(path, rows, comments=["train.seed = 0"])
+    history = MetricHistory(steps_per_epoch=4)
+    for m in rows:
+        history.append(m)
+    write_metrics(path, history, comments=["train.seed = 0"])
     text = path.read_text().split("\n")
     assert text[0] == "# train.seed = 0"
     assert text[1] == METRICS_HEADER
@@ -628,3 +634,123 @@ def test_read_metrics_rejects_malformed_files(tmp_path):
     with pytest.raises(CsvFormatError) as err:
         read_metrics(bad_row)
     assert err.value.line_number == 2
+
+
+# ---------------------------------------------------------------------------
+# metric history
+
+
+def metric_rows(n, steps_per_epoch=4, seed=0):
+    """`n` StepMetrics in step order; every float column has some None cells."""
+    rng = np.random.default_rng(seed)
+    floats = rng.random((4, n)).tolist()
+    counts = rng.integers(0, 50, (2, n)).tolist()
+    blank = rng.random((4, n)) < 0.3
+    cells = [[None if blank[j][i] else floats[j][i] for i in range(n)] for j in range(4)]
+    return [StepMetrics(step=i, epoch=i // steps_per_epoch, lr=cells[0][i], loss=cells[1][i],
+                        confident=counts[0][i], entropy_selected=counts[1][i],
+                        mean_unlabeled_weight=cells[2][i], test_acc=cells[3][i])
+            for i in range(n)]
+
+
+def history_of(rows, steps_per_epoch=4):
+    history = MetricHistory(steps_per_epoch)
+    for m in rows:
+        history.append(m)
+    return history
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("step", 4, "history row 3 has step 4, expected 3"),
+    ("step", 2, "history row 3 has step 2, expected 3"),
+    ("epoch", 1, "history row 3 has epoch 1, expected 0"),
+])
+def test_history_append_refuses_a_row_out_of_step(field, value, message):
+    rows = metric_rows(4)
+    history = history_of(rows[:3])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        history.append(dataclasses.replace(rows[3], **{field: value}))
+    assert list(history) == rows[:3]
+    history.append(rows[3])
+    assert list(history) == rows
+
+
+def test_history_keeps_a_copy_of_each_row():
+    rows = metric_rows(3)
+    history = history_of(rows)
+    expected = copy.deepcopy(rows)
+    rows[1].loss, rows[1].test_acc, rows[1].confident = 99.0, 0.5, 7
+    history[1].loss = 99.0
+    assert list(history) == expected
+
+
+def test_history_reads_like_a_list_of_rows():
+    # past the first capacity of 64 rows, and two blocks of iteration
+    rows = metric_rows(1100)
+    history = history_of(rows)
+    assert len(history) == len(rows)
+    assert list(history) == rows
+    for i in [*range(-1100, -1030), *range(-70, 70), *range(1030, 1100)]:
+        assert history[i] == rows[i]
+    for i in (1100, -1101):
+        with pytest.raises(IndexError):
+            history[i]
+    for key in (slice(None), slice(5, 9), slice(-3, None), slice(None, None, 64),
+                slice(None, None, -7), slice(60, 10, -3), slice(1200, 1300), slice(3, 3)):
+        assert history[key] == rows[key]
+
+
+@pytest.mark.parametrize("field", ["lr", "loss", "mean_unlabeled_weight", "test_acc"])
+def test_history_stores_none_as_nan(field):
+    m = StepMetrics(step=0, epoch=0, lr=0.5, loss=1.25, confident=3, entropy_selected=1,
+                    mean_unlabeled_weight=0.75, test_acc=0.875)
+    history = history_of([dataclasses.replace(m, **{field: None})])
+    table = history.table()
+    assert [name for name in ("lr", "loss", "mean_unlabeled_weight", "test_acc")
+            if np.isnan(table[name][0])] == [field]
+    assert history[0] == dataclasses.replace(m, **{field: None})
+
+
+def test_history_wraps_a_table_without_copying():
+    rows = metric_rows(5)
+    table = history_of(rows).table().copy()
+    history = MetricHistory(4, table)
+    assert history.table() is not table and np.shares_memory(history.table(), table)
+    assert list(history) == rows
+    history.append(metric_rows(6)[5])
+    assert len(history) == 6 and history[:5] == rows
+
+
+def test_write_metrics_matches_the_row_by_row_reference(tmp_path):
+    def real(x):
+        return "" if x is None else repr(float(x))
+
+    rows = metric_rows(300)
+    # values whose shortest repr takes an exponent, or a sign on zero
+    for m, lr in zip(rows, (1e-05, 5e-324, 1e16, 123456789012345.6, -0.0, 0.1)):
+        m.lr = lr
+    path = tmp_path / "m.csv"
+    write_metrics(path, history_of(rows), comments=["a = 1"])
+    expected = ["# a = 1", METRICS_HEADER] + [
+        ",".join([str(m.step), str(m.epoch), real(m.lr), real(m.loss), str(m.confident),
+                  str(m.entropy_selected), real(m.mean_unlabeled_weight), real(m.test_acc)])
+        for m in rows]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
+def test_reference_length_history_allocates_at_most_two_tables():
+    # the paper preset's 262,144 steps; the StepMetrics list this replaced held 71 MB
+    n = 256 * 1024
+    history = MetricHistory(1024)
+    m = StepMetrics(step=0, epoch=0, lr=0.1, loss=1.0, confident=3, entropy_selected=1,
+                    mean_unlabeled_weight=0.5)
+    tracemalloc.start()
+    try:
+        for i in range(n):
+            m.step, m.epoch = i, i // 1024
+            history.append(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(history) == n
+    assert peak <= 2 * n * HISTORY_DTYPE.itemsize  # 2 x 10.5 MB
