@@ -589,10 +589,7 @@ def test_metrics_header_and_blank_test_acc(tmp_path):
             StepMetrics(step=1, epoch=0, lr=0.25, loss=1.0, confident=4,
                         entropy_selected=0, mean_unlabeled_weight=1.0,
                         test_acc=0.875)]
-    history = MetricHistory(steps_per_epoch=4)
-    for m in rows:
-        history.append(m)
-    write_metrics(path, history, comments=["train.seed = 0"])
+    write_metrics(path, history_of(rows), comments=["train.seed = 0"])
     text = path.read_text().split("\n")
     assert text[0] == "# train.seed = 0"
     assert text[1] == METRICS_HEADER
