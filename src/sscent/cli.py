@@ -21,8 +21,9 @@ from .data import (CsvFormatError, generate_gaussian_clusters, load_csv,
                    read_table, save_csv, split_dataset)
 from .encoder import EncoderConfig, MlpEncoder
 from .evaluate import build_report, format_report
-from .losses import ContrastiveBatch, finite_difference_error, grad_check, ssc_e_loss, ssc_loss
-from .pseudo import EntropyGate, assign_pseudo_labels
+from .losses import (METHODS, ContrastiveBatch, finite_difference_error, grad_check,
+                     ssc_e_loss, ssc_loss)
+from .pseudo import EntropyGate, assign_pseudo_labels, probability_row_problem
 from .trainer import (NonFiniteLossError, StepMetrics, TrainConfig, config_to_lines,
                       format_metrics_row, key_lines, parse_config_file, parse_config_lines,
                       read_metrics, train)
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="config file of section.key = value lines")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
-    p.add_argument("--method", choices=("ssc", "ssc-e"))
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--steps-per-epoch", type=int)
     p.add_argument("--seed", type=int)
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradients")
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--variant", choices=("ssc", "ssc-e", "all"), default="all")
+    p.add_argument("--variant", choices=(*METHODS, "all"), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -230,11 +231,9 @@ def cmd_eval(args) -> int:
     _check_dataset_fits(state, dataset)
     t_prime = config.t_prime if args.t_prime is None else args.t_prime
     _echo(config_to_lines(config) + key_lines({"t_prime": float(t_prime)}, "eval"))
-    gate = EntropyGate.for_classes(state.bank.num_classes, config.tau,
-                                   config.tau_ent, config.w_min)
     enabled = config.method == "ssc-e" and config.gate_enabled
-    report = build_report(state.encoder, state.bank, dataset, gate,
-                          config.lambda_reject, enabled, t_prime)
+    report = build_report(state.encoder, state.bank, dataset,
+                          config.gate(state.bank.num_classes), enabled, t_prime)
     print(format_report(report))
     if args.append:
         row = StepMetrics(step=state.step, epoch=state.step // config.steps_per_epoch,
@@ -283,7 +282,7 @@ def _end_to_end_error(variant: str, eps: float, rng: np.random.Generator) -> flo
 
 def cmd_gradcheck(args) -> int:
     _echo(_flag_lines("gradcheck", args))
-    variants = ("ssc", "ssc-e") if args.variant == "all" else (args.variant,)
+    variants = METHODS if args.variant == "all" else (args.variant,)
     rng = np.random.default_rng(args.seed)
     failed = False
     for variant in variants:
@@ -314,6 +313,9 @@ def _load_prob_rows(path) -> np.ndarray:
             probs.append([float(c) for c in cells])
         except ValueError:
             raise CsvFormatError(path, number, "non-numeric probability cell") from None
+        problem = probability_row_problem(np.array(probs[-1:]))
+        if problem:
+            raise CsvFormatError(path, number, f"probabilities {problem[1]}")
     if not probs:
         raise CsvFormatError(path, None, "no probability rows")
     return np.array(probs)
@@ -329,13 +331,13 @@ def cmd_gate_sim(args) -> int:
             raise ValueError("need --classes >= 2 and --samples >= 1")
         rng = np.random.default_rng(args.seed)
         probs = rng.dirichlet(np.full(args.classes, args.alpha), size=args.samples)
-    num_classes = probs.shape[1]
     out_lines = [f"# {c}" for c in lines]
     out_lines.append(GATE_SIM_HEADER)
     for tau in args.tau:
         for tau_ent in args.tau_ent:
-            gate = EntropyGate.for_classes(num_classes, tau, tau_ent, args.w_min)
-            decisions = assign_pseudo_labels(probs, gate, args.lambda_reject, True)
+            gate = EntropyGate(num_classes=probs.shape[1], tau=tau, tau_ent=tau_ent,
+                               w_min=args.w_min, lambda_reject=args.lambda_reject)
+            decisions = assign_pseudo_labels(probs, gate, True)
             for i, d in enumerate(decisions):
                 out_lines.append(",".join([
                     repr(float(tau)),

@@ -243,11 +243,6 @@ def augment(v, policy: AugmentationPolicy, kind: str, rng: np.random.Generator):
     raise ValueError(f"unknown augmentation kind {kind!r}, expected 'weak' or 'strong'")
 
 
-def _format_float(x: float) -> str:
-    # repr gives the shortest string that round-trips a double
-    return repr(float(x))
-
-
 def save_csv(ds: Dataset, path, hide_unlabeled_labels: bool = False,
              header_comments: Iterable[str] = ()) -> None:
     """Write the dataset with header feat_0..feat_{d-1},label,split.
@@ -265,7 +260,7 @@ def save_csv(ds: Dataset, path, hide_unlabeled_labels: bool = False,
         label = ds.labels[i]
         if hide_unlabeled_labels and ds.split[i] == "unlabeled":
             label = HIDDEN_LABEL
-        cells = [_format_float(x) for x in ds.features[i]]
+        cells = [repr(x) for x in ds.features[i].tolist()]  # shortest round-trip form
         cells.append(str(int(label)))
         cells.append(str(ds.split[i]))
         lines.append(",".join(cells))

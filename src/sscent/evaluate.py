@@ -26,6 +26,8 @@ __all__ = [
     "weight_histogram",
 ]
 
+HISTOGRAM_BINS = 10
+
 
 def evaluate(encoder, bank: PrototypeBank, features, labels, t_prime: float) -> float:
     """Fraction of rows whose argmax class probability matches the label.
@@ -66,11 +68,9 @@ def pseudo_metrics(decisions, hidden_labels):
     return coverage, float(np.mean(correct))
 
 
-def weight_histogram(decisions, bins: int = 10) -> np.ndarray:
-    """Counts of decision weights binned uniformly over [0, 1]."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    counts, _ = np.histogram(decisions["weight"], bins=bins, range=(0.0, 1.0))
+def weight_histogram(decisions) -> np.ndarray:
+    """Counts of decision weights in HISTOGRAM_BINS uniform bins over [0, 1]."""
+    counts, _ = np.histogram(decisions["weight"], bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     return counts
 
 
@@ -85,10 +85,8 @@ class EvalReport:
     rejected: int
 
 
-def build_report(encoder, bank: PrototypeBank, dataset: Dataset,
-                 gate: EntropyGate, lambda_reject: float,
-                 entropy_gate_enabled: bool, t_prime: float,
-                 histogram_bins: int = 10) -> EvalReport:
+def build_report(encoder, bank: PrototypeBank, dataset: Dataset, gate: EntropyGate,
+                 entropy_gate_enabled: bool, t_prime: float) -> EvalReport:
     """Full report: test accuracy plus gate behavior over the un-augmented
     unlabeled split, scored against its hidden labels. When the dataset
     hides them, precision is None and coverage is still reported."""
@@ -97,8 +95,7 @@ def build_report(encoder, bank: PrototypeBank, dataset: Dataset,
         raise ValueError("dataset has no unlabeled rows to report on")
     z, _ = encoder.forward(unlabeled)
     probs = class_probabilities(z, bank, t_prime)
-    decisions = assign_pseudo_labels(probs, gate, lambda_reject,
-                                     entropy_gate_enabled)
+    decisions = assign_pseudo_labels(probs, gate, entropy_gate_enabled)
     try:
         truth = dataset.unlabeled_true_labels()
     except ValueError:  # hidden in this export
@@ -111,7 +108,7 @@ def build_report(encoder, bank: PrototypeBank, dataset: Dataset,
         test_accuracy=accuracy,
         pseudo_coverage=coverage,
         pseudo_precision=precision,
-        weight_histogram=weight_histogram(decisions, bins=histogram_bins),
+        weight_histogram=weight_histogram(decisions),
         confident=kinds.count(DecisionKind.CONFIDENT),
         entropy_selected=kinds.count(DecisionKind.ENTROPY_SELECTED),
         rejected=kinds.count(DecisionKind.REJECTED),

@@ -39,8 +39,10 @@ from typing import Optional
 
 import numpy as np
 
+from .pseudo import check_unit_rows
+
 __all__ = [
-    "EMBEDDING_NORM_TOL",
+    "METHODS",
     "ContrastiveBatch",
     "LossResult",
     "ZeroNormalizerError",
@@ -51,9 +53,8 @@ __all__ = [
     "ssc_loss",
 ]
 
-EMBEDDING_NORM_TOL = 1e-6
-
-_VARIANTS = ("ssc", "ssc-e")
+# the loss variants, which are also the training methods
+METHODS = ("ssc", "ssc-e")
 
 # exp() on 80-bit long doubles overflows around 11356; shift above this.
 _ORACLE_EXP_GUARD = 11000.0
@@ -104,10 +105,7 @@ class ContrastiveBatch:
             raise ValueError("weights must lie in [0, 1]")
         if not np.isfinite(self.temperature) or self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        norms = np.linalg.norm(self.embeddings, axis=1)
-        worst = float(np.abs(norms - 1.0).max())
-        if worst > EMBEDDING_NORM_TOL:
-            raise ValueError(f"embedding rows must be unit norm (worst deviation {worst:.2e})")
+        check_unit_rows(self.embeddings, "embedding")
         if self.anchor_mask is not None:
             self.anchor_mask = np.asarray(self.anchor_mask, dtype=bool)
             if self.anchor_mask.shape != (n,):
@@ -122,12 +120,11 @@ class ContrastiveBatch:
 class LossResult:
     value: float
     grad: np.ndarray  # (N, d), d(loss)/d(embeddings)
-    anchor_count: int  # anchors with a non-empty positive set that contributed
 
 
 def _check_variant(variant: str) -> None:
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown loss variant {variant!r}, expected one of {_VARIANTS}")
+    if variant not in METHODS:
+        raise ValueError(f"unknown loss variant {variant!r}, expected one of {METHODS}")
 
 
 def _positive_sums(cls, a, b, embeddings):
@@ -168,7 +165,7 @@ def _pair_factors(labels, weights, anchor_mask, variant):
 def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant,
               want_grad=True):
     n = len(labels)
-    cls, a, b, r, contributing = _pair_factors(labels, weights, anchor_mask, variant)
+    cls, a, b, r, _ = _pair_factors(labels, weights, anchor_mask, variant)
     normalizer = np.add.reduce(r)
     if normalizer <= 0.0:
         raise ZeroNormalizerError(
@@ -203,7 +200,7 @@ def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant,
     value = float((r @ np.log1p(rem) - a @ gaps) / normalizer)
     if want_grad:
         grad /= normalizer * temperature
-    return value, grad, np.count_nonzero(contributing)
+    return value, grad
 
 
 def _loss(batch, variant):

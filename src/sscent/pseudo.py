@@ -25,14 +25,15 @@ __all__ = [
     "EntropyGate",
     "GateDegenerateError",
     "PROB_SUM_TOL",
-    "PROTOTYPE_NORM_TOL",
     "PrototypeBank",
+    "UNIT_NORM_TOL",
     "adaptive_weight",
     "assign_pseudo_labels",
     "class_probabilities",
 ]
 
-PROTOTYPE_NORM_TOL = 1e-6
+# Tolerance on each embedding's and prototype's norm == 1.
+UNIT_NORM_TOL = 1e-6
 
 # Tolerance on each probability row's sum == 1.
 PROB_SUM_TOL = 1e-9
@@ -49,6 +50,31 @@ def as_finite_array(values, name: str) -> np.ndarray:
         where = f" row {int(np.argmin(finite.all(axis=1)))}" if arr.ndim == 2 else ""
         raise ValueError(f"{name}{where} must contain only finite values")
     return arr
+
+
+def check_unit_rows(rows: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the first row whose norm is off 1 by > UNIT_NORM_TOL."""
+    norms = np.linalg.norm(rows, axis=1)
+    off = np.abs(norms - 1.0) > UNIT_NORM_TOL
+    if off.any():
+        row = int(np.argmax(off))
+        raise ValueError(f"{name} row {row} must be unit norm (got {float(norms[row])})")
+
+
+def probability_row_problem(mat: np.ndarray):
+    """(row, reason) for the first row of an (n, K) array that is not a
+    probability vector (a non-finite or negative entry, or a sum off 1 by
+    more than PROB_SUM_TOL); None when every row is one."""
+    finite = np.isfinite(mat).all(axis=1)
+    negative = (mat < 0.0).any(axis=1)
+    sums = mat.sum(axis=1)
+    bad = ~finite | negative | (np.abs(sums - 1.0) > PROB_SUM_TOL)
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, ("must contain only finite values" if not finite[row] else
+                 "must be non-negative" if negative[row] else
+                 f"must sum to 1 (got {float(sums[row])})")
 
 
 class GateDegenerateError(ValueError):
@@ -72,10 +98,7 @@ class PrototypeBank:
         self.prototypes = as_finite_array(self.prototypes, "prototypes")
         if self.prototypes.ndim != 2 or self.prototypes.shape[0] < 1:
             raise ValueError(f"prototypes must be a (K, d) matrix, got {self.prototypes.shape}")
-        norms = np.linalg.norm(self.prototypes, axis=1)
-        if np.any(np.abs(norms - 1.0) > PROTOTYPE_NORM_TOL):
-            worst = float(np.abs(norms - 1.0).max())
-            raise ValueError(f"prototype rows must be unit norm (worst deviation {worst:.2e})")
+        check_unit_rows(self.prototypes, "prototype")
 
     @property
     def num_classes(self) -> int:
@@ -103,18 +126,19 @@ class PrototypeBank:
         return (z[:, None, :] @ self.prototypes.T)[:, 0, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EntropyGate:
-    """Per-batch gating parameters.
+    """The pseudo-label rule: thresholds tau and tau_ent, weights w_min and lambda_reject.
 
     Derived, not stored: h_max = log(num_classes), and h_base = tau_ent *
     h_max, the entropy below which non-confident samples may be selected.
     """
 
+    num_classes: int
     tau: float
     tau_ent: float
-    num_classes: int
     w_min: float
+    lambda_reject: float
 
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
@@ -125,6 +149,8 @@ class EntropyGate:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
         if not 0.0 <= self.w_min <= 1.0:
             raise ValueError(f"w_min must be in [0, 1], got {self.w_min}")
+        if not 0.0 <= self.lambda_reject <= 1.0:
+            raise ValueError(f"lambda_reject must be in [0, 1], got {self.lambda_reject}")
 
     @property
     def h_max(self) -> float:
@@ -133,11 +159,6 @@ class EntropyGate:
     @property
     def h_base(self) -> float:
         return self.tau_ent * self.h_max
-
-    @classmethod
-    def for_classes(cls, num_classes: int, tau: float, tau_ent: float,
-                    w_min: float = 0.2) -> "EntropyGate":
-        return cls(tau=tau, tau_ent=tau_ent, num_classes=num_classes, w_min=w_min)
 
 
 def class_probabilities(z_w, bank: PrototypeBank, t_prime: float) -> np.ndarray:
@@ -150,11 +171,7 @@ def class_probabilities(z_w, bank: PrototypeBank, t_prime: float) -> np.ndarray:
     z = as_finite_array(z_w, "embedding")
     if z.ndim != 2 or z.shape[1] != bank.dim:
         raise ValueError(f"embeddings have shape {z.shape}, prototypes expect (n, {bank.dim})")
-    norms = np.linalg.norm(z, axis=1)
-    off = np.abs(norms - 1.0) > PROTOTYPE_NORM_TOL
-    if off.any():
-        row = int(np.argmax(off))
-        raise ValueError(f"embedding row {row} must be unit norm (got {float(norms[row])})")
+    check_unit_rows(z, "embedding")
     if not np.isfinite(t_prime) or t_prime <= 0:
         raise ValueError(f"temperature must be positive, got {t_prime}")
     with np.errstate(over="ignore"):  # an overflow is reported by the check below
@@ -192,8 +209,7 @@ DECISION_DTYPE = np.dtype((np.record, [("kind", object), ("assigned_label", np.i
 _KINDS = np.array(list(DecisionKind), dtype=object)  # indexed by the kind codes 0, 1, 2
 
 
-def assign_pseudo_labels(probs, gate: EntropyGate, lambda_reject: float,
-                         entropy_gate_enabled: bool) -> np.ndarray:
+def assign_pseudo_labels(probs, gate: EntropyGate, entropy_gate_enabled: bool) -> np.ndarray:
     """Turn an (n, K) block of class probabilities into pseudo-label decisions.
 
     Returns an array of DECISION_DTYPE records, one per input row, in input
@@ -210,24 +226,17 @@ def assign_pseudo_labels(probs, gate: EntropyGate, lambda_reject: float,
       selected with weight 1; the interpolation branch is skipped.
 
     Everything else is rejected with a unique label num_classes + position
-    and weight lambda_reject. Argmax ties break toward the lowest class
+    and weight gate.lambda_reject. Argmax ties break toward the lowest class
     index. Entropies are in nats with 0 * log 0 := 0; a one-hot row's
     entropy is -0.0.
     """
-    if not 0.0 <= lambda_reject <= 1.0:
-        raise ValueError(f"lambda_reject must be in [0, 1], got {lambda_reject}")
-    mat = as_finite_array(np.atleast_2d(probs), "probabilities")
+    mat = np.asarray(np.atleast_2d(probs), dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] != gate.num_classes:
         raise ValueError(
             f"probabilities have shape {mat.shape}, gate expects (n, {gate.num_classes})")
-    sums = mat.sum(axis=1)
-    negative = (mat < 0.0).any(axis=1)
-    bad = negative | (np.abs(sums - 1.0) > PROB_SUM_TOL)
-    if bad.any():
-        row = int(np.argmax(bad))
-        if negative[row]:
-            raise ValueError(f"probabilities row {row} must be non-negative")
-        raise ValueError(f"probabilities row {row} must sum to 1 (got {float(sums[row])})")
+    problem = probability_row_problem(mat)
+    if problem:
+        raise ValueError("probabilities row {} {}".format(*problem))
 
     n = mat.shape[0]
     max_prob = mat.max(axis=1)
@@ -238,7 +247,7 @@ def assign_pseudo_labels(probs, gate: EntropyGate, lambda_reject: float,
     entropies = np.where(entropies < 0.0, 0.0, entropies)
     confident = max_prob > gate.tau
     kinds = np.where(confident, 0, 2)
-    weights = np.where(confident, 1.0, float(lambda_reject))
+    weights = np.where(confident, 1.0, float(gate.lambda_reject))
     if entropy_gate_enabled and confident.any():
         e_min = np.max(entropies, where=confident, initial=-np.inf)
         if e_min < gate.h_base:

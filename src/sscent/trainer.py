@@ -26,7 +26,7 @@ import numpy as np
 from .data import AugmentationPolicy, Dataset, augment, read_table
 from .encoder import EncoderConfig, MlpEncoder, OptimizerState, update_prototypes
 from .evaluate import evaluate
-from .losses import ContrastiveBatch, ssc_e_loss, ssc_loss
+from .losses import METHODS, ContrastiveBatch, ssc_e_loss, ssc_loss
 from .pseudo import DecisionKind, EntropyGate, PrototypeBank, assign_pseudo_labels, class_probabilities
 
 __all__ = [
@@ -51,8 +51,6 @@ __all__ = [
     "train_step",
     "write_metrics",
 ]
-
-METHODS = ("ssc", "ssc-e")
 
 METRICS_HEADER = "step,epoch,lr,loss,confident,entropy_selected,mean_unlabeled_weight,test_acc"
 
@@ -123,8 +121,6 @@ class TrainConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.eval_every < 0 or self.checkpoint_every < 0:
             raise ConfigError("eval_every and checkpoint_every must be >= 0")
-        if not 0.0 <= self.lambda_reject <= 1.0:
-            raise ConfigError(f"lambda_reject must be in [0, 1], got {self.lambda_reject}")
         if not 0.0 < self.gate_cutoff_fraction <= 1.0:
             raise ConfigError(
                 f"gate_cutoff_fraction must be in (0, 1], got {self.gate_cutoff_fraction}")
@@ -132,12 +128,20 @@ class TrainConfig:
         try:
             EncoderConfig(input_dim=1, hidden_dims=self.hidden_dims,
                           embed_dim=self.embed_dim, activation=self.activation)
-            AugmentationPolicy(self.weak_sigma, self.strong_sigma,
-                               self.strong_dropout)
-            EntropyGate.for_classes(2, self.tau, self.tau_ent, self.w_min)
+            self.policy()
+            self.gate(2)
             OptimizerState(self.momentum, 0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+    def gate(self, num_classes: int) -> EntropyGate:
+        """The pseudo-label rule these settings define for `num_classes` classes."""
+        return EntropyGate(num_classes=num_classes, tau=self.tau, tau_ent=self.tau_ent,
+                           w_min=self.w_min, lambda_reject=self.lambda_reject)
+
+    def policy(self) -> AugmentationPolicy:
+        """The augmentation policy these settings define."""
+        return AugmentationPolicy(self.weak_sigma, self.strong_sigma, self.strong_dropout)
 
 
 def _parse_bool(text: str) -> bool:
@@ -425,10 +429,7 @@ def init_train_state(config: TrainConfig, dataset: Dataset) -> TrainState:
     k = dataset.num_classes
     if k < 2:
         raise ValueError(f"dataset must contain at least 2 classes, got {k}")
-    labeled = dataset.labeled_labels()
-    if labeled.size == 0:
-        raise ValueError("dataset has no labeled rows")
-    present = np.bincount(labeled, minlength=k)
+    present = np.bincount(dataset.labeled_labels(), minlength=k)
     if np.any(present == 0):
         missing = np.flatnonzero(present == 0).tolist()
         raise ValueError(f"labeled split is missing classes {missing}")
@@ -479,8 +480,7 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     z_s2, cache_s2 = state.encoder.forward(strong2)
 
     probs = class_probabilities(z_weak, state.bank, config.t_prime)
-    decisions = assign_pseudo_labels(probs, gate, config.lambda_reject,
-                                     entropy_gate_enabled)
+    decisions = assign_pseudo_labels(probs, gate, entropy_gate_enabled)
     labels_u = decisions["assigned_label"]
     weights_u = decisions["weight"]
 
@@ -577,10 +577,8 @@ def train(config: TrainConfig, dataset: Dataset, state: Optional[TrainState] = N
     comments = config_to_lines(config) + _dataset_comment_lines(dataset, labeled_y)
     if state is None:
         state = init_train_state(config, dataset)
-    gate = EntropyGate.for_classes(dataset.num_classes, config.tau,
-                                   config.tau_ent, config.w_min)
-    policy = AugmentationPolicy(config.weak_sigma, config.strong_sigma,
-                                config.strong_dropout)
+    gate = config.gate(dataset.num_classes)
+    policy = config.policy()
     t_total = config.epochs * config.steps_per_epoch
 
     from .checkpoint import save_checkpoint  # deferred: checkpoint imports this module

@@ -34,7 +34,6 @@ from sscent import (
     train_step,
 )
 from sscent.cli import main
-from sscent.data import AugmentationPolicy
 from sscent.trainer import read_metrics
 
 from conftest import random_batch
@@ -115,7 +114,7 @@ def test_gradcheck_command_passes_within_tolerance(capsys):
 
 
 def test_adaptive_weight_boundaries_and_monotone_sweep():
-    gate = EntropyGate.for_classes(10, 0.95, 0.6, 0.25)
+    gate = EntropyGate(num_classes=10, tau=0.95, tau_ent=0.6, w_min=0.25, lambda_reject=0.2)
     e_min = 0.3 * gate.h_base
 
     exact = (adaptive_weight(e_min, e_min, gate.h_base, gate.w_min) == 1.0
@@ -156,10 +155,11 @@ def test_entropy_gate_never_reduces_and_can_increase_coverage():
         n = int(rng.integers(8, 41))
         alpha = float(rng.choice([0.3, 0.5, 1.0, 3.0]))
         probs = rng.dirichlet(np.full(c, alpha), size=n)
-        gate = EntropyGate.for_classes(c, float(rng.choice([0.9, 0.95])),
-                                       float(rng.choice([0.4, 0.6])), 0.2)
-        on = _coverage(assign_pseudo_labels(probs, gate, 0.2, True))
-        off = _coverage(assign_pseudo_labels(probs, gate, 0.2, False))
+        gate = EntropyGate(num_classes=c, tau=float(rng.choice([0.9, 0.95])),
+                           tau_ent=float(rng.choice([0.4, 0.6])), w_min=0.2,
+                           lambda_reject=0.2)
+        on = _coverage(assign_pseudo_labels(probs, gate, True))
+        off = _coverage(assign_pseudo_labels(probs, gate, False))
         never_lower = never_lower and on >= off
 
     # two confident rows set the pivot; the third is confident enough in
@@ -168,9 +168,9 @@ def test_entropy_gate_never_reduces_and_can_increase_coverage():
                       [0.96, 0.02, 0.01, 0.01],
                       [0.90, 0.06, 0.02, 0.02],
                       [0.25, 0.25, 0.25, 0.25]])
-    gate = EntropyGate.for_classes(4, 0.95, 0.4, 0.2)
-    fixture_on = _coverage(assign_pseudo_labels(probs, gate, 0.2, True))
-    fixture_off = _coverage(assign_pseudo_labels(probs, gate, 0.2, False))
+    gate = EntropyGate(num_classes=4, tau=0.95, tau_ent=0.4, w_min=0.2, lambda_reject=0.2)
+    fixture_on = _coverage(assign_pseudo_labels(probs, gate, True))
+    fixture_off = _coverage(assign_pseudo_labels(probs, gate, False))
 
     _verdict(never_lower and fixture_on > fixture_off,
              f"gate-on coverage >= gate-off on 100 random batches; "
@@ -261,10 +261,8 @@ def test_reruns_resume_and_csv_round_trip_are_lossless(tmp_path):
 
     # a checkpoint taken mid-run continues into the same metric stream
     state = init_train_state(cfg, ds)
-    gate = EntropyGate.for_classes(ds.num_classes, cfg.tau, cfg.tau_ent,
-                                   cfg.w_min)
-    policy = AugmentationPolicy(cfg.weak_sigma, cfg.strong_sigma,
-                                cfg.strong_dropout)
+    gate = cfg.gate(ds.num_classes)
+    policy = cfg.policy()
     t_total = cfg.epochs * cfg.steps_per_epoch
     for gstep in range(3):
         m = train_step(state, cfg, gate, policy, ds.labeled_features(),

@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from sscent import (
-    AugmentationPolicy,
-    EntropyGate,
     StepMetrics,
     TrainConfig,
     cosine_lr,
@@ -159,10 +157,8 @@ def test_resume_reproduces_uninterrupted_metrics(tmp_path):
     # simulate an interruption: run the first 4 steps of the same schedule
     # by hand, checkpoint, then let train() finish from the restored state
     state = init_train_state(full_cfg, ds)
-    gate = EntropyGate.for_classes(ds.num_classes, full_cfg.tau,
-                                   full_cfg.tau_ent, full_cfg.w_min)
-    policy = AugmentationPolicy(full_cfg.weak_sigma, full_cfg.strong_sigma,
-                                full_cfg.strong_dropout)
+    gate = full_cfg.gate(ds.num_classes)
+    policy = full_cfg.policy()
     t_total = full_cfg.epochs * full_cfg.steps_per_epoch
     for gstep in range(4):
         m = train_step(state, full_cfg, gate, policy, ds.labeled_features(),
@@ -467,7 +463,7 @@ def _set_history(make):
     (_set_array("prototypes", lambda a: np.where(np.eye(*a.shape, dtype=bool), np.nan, a)), 1,
      "{path}: prototypes must be finite"),
     (_set_array("prototypes", lambda a: 2 * a), 1,
-     "{path}: prototype rows must be unit norm (worst deviation 1.00e+00)"),
+     "{path}: prototype row 0 must be unit norm (got 2.0)"),
     (lambda arrays, meta: meta["rng_state"].__setitem__("bit_generator", "SFC64"), 1,
      "{path}: state must be for a PCG64 RNG"),
 ], ids=["unknown-key", "bad-value", "out-of-range", "step-not-integer", "step-negative",

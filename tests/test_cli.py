@@ -19,7 +19,6 @@ from sscent import (
 )
 from sscent.cli import main
 from sscent.pseudo import EntropyGate
-from sscent.data import AugmentationPolicy
 from sscent.trainer import read_metrics
 
 
@@ -291,10 +290,8 @@ def test_train_resume_matches_uninterrupted_run(data_csv, tmp_path):
     cfg = fast_train_config()
     ds = load_csv(data_csv)
     state = init_train_state(cfg, ds)
-    gate = EntropyGate.for_classes(ds.num_classes, cfg.tau, cfg.tau_ent,
-                                   cfg.w_min)
-    policy = AugmentationPolicy(cfg.weak_sigma, cfg.strong_sigma,
-                                cfg.strong_dropout)
+    gate = cfg.gate(ds.num_classes)
+    policy = cfg.policy()
     for _ in range(3):
         m = train_step(state, cfg, gate, policy, ds.labeled_features(),
                        ds.labeled_labels(), ds.unlabeled_features(),
@@ -476,6 +473,19 @@ def test_dataset_of_the_same_shape_but_other_data_is_refused(trained, fresh_ckpt
     assert not metrics.exists()
 
 
+def test_eval_refuses_the_hidden_label_export_of_its_training_data(trained, data_csv,
+                                                                    tmp_path, capsys):
+    # the hash covers every label, the unlabeled split's hidden truth too, so
+    # the export without that truth is other data to the checkpoint
+    hidden = tmp_path / "hidden.csv"
+    assert main(GEN_ARGS + ["--hide-unlabeled", "--out", str(hidden)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(trained["ckpt"]), "--data", str(hidden)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset has SHA-256 {load_csv(hidden).sha256()}, "
+        f"checkpoint expects {load_csv(data_csv).sha256()}\n")
+
+
 def test_eval_missing_checkpoint_is_io_error(data_csv, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(tmp_path / "ghost.npz"),
                "--data", data_csv])
@@ -540,6 +550,38 @@ def test_checkpoint_of_another_format_version_fails_validation(trained, data_csv
     rc = main(_argv(command, ckpt, data_csv))
     assert rc == 1
     assert capsys.readouterr().err == "error: checkpoint format 1 not supported (expected 4)\n"
+
+
+@pytest.mark.parametrize("entry", ["set", "config-file", "checkpoint-eval",
+                                   "checkpoint-resume", "gate-sim", "EntropyGate"])
+def test_bad_lambda_reject_gets_one_message_at_every_entry(trained, data_csv, tmp_path,
+                                                           capsys, entry):
+    if entry == "EntropyGate":
+        with pytest.raises(ValueError, match=r"^lambda_reject must be in \[0, 1\], got -0\.1$"):
+            EntropyGate(num_classes=3, tau=0.9, tau_ent=0.4, w_min=0.2, lambda_reject=-0.1)
+        return
+    if entry == "set":
+        argv, where = ["train", "--data", data_csv, "--set", "gate.lambda_reject=1.5"], "--set: "
+    elif entry == "config-file":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("gate.lambda_reject = 1.5\n")
+        argv, where = ["train", "--data", data_csv, "--config", str(cfg)], f"{cfg}: "
+    elif entry == "gate-sim":
+        argv, where = ["gate-sim", "--lambda-reject", "1.5"], ""
+    else:  # a checkpoint whose stored config holds the bad value
+        with np.load(trained["ckpt"], allow_pickle=False) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        meta = json.loads(arrays["meta"].item())
+        meta["config"] = [line.replace("gate.lambda_reject = 0.2", "gate.lambda_reject = 1.5")
+                          for line in meta["config"]]
+        arrays["meta"] = np.array(json.dumps(meta).encode())
+        ckpt = tmp_path / "bad.npz"
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, **arrays)
+        argv, where = _argv(entry.partition("-")[2], ckpt, data_csv), f"{ckpt}: config: "
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {where}lambda_reject must be in [0, 1], got 1.5\n"
 
 
 # ------------------------------------------------------------- gradcheck
@@ -664,8 +706,14 @@ def test_gate_sim_invalid_probability_row_fails_validation(tmp_path, capsys):
     src = tmp_path / "notprob.csv"
     src.write_text("p_0,p_1,p_2\n0.5,0.3,0.2\n0.9,0.9,0.1\n")
     rc = main(["gate-sim", "--input", str(src)])
-    assert rc == 1
-    assert "probabilities row 1 must sum to 1" in capsys.readouterr().err
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {src}, line 3: probabilities must sum to 1 (got 1.9000000000000001)\n")
+    for row, reason in (("nan,0.5,0.5", "must contain only finite values"),
+                        ("-0.1,0.6,0.5", "must be non-negative")):
+        src.write_text(f"p_0,p_1,p_2\n# a comment\n0.5,0.3,0.2\n{row}\n")
+        assert main(["gate-sim", "--input", str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {src}, line 4: probabilities {reason}\n"
 
 
 # --------------------------------------------------------------- compare

@@ -174,17 +174,11 @@ def test_weight_histogram_known_placement():
         (DecisionKind.CONFIDENT, 1, 1.0),
         (DecisionKind.CONFIDENT, 1, 1.0),
     ])
-    counts = weight_histogram(decisions, bins=10)
+    counts = weight_histogram(decisions)
     assert counts.sum() == 4
     assert counts[2] == 1   # 0.2 lands in [0.2, 0.3)
     assert counts[5] == 1   # 0.55 lands in [0.5, 0.6)
     assert counts[9] == 2   # 1.0 lands in the closed last bin
-
-
-def test_weight_histogram_bins_validation():
-    with pytest.raises(ValueError):
-        weight_histogram(make_decisions([]), bins=0)
-    assert weight_histogram(make_decisions([]), bins=4).sum() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +187,9 @@ def test_weight_histogram_bins_validation():
 
 def test_build_report_internally_consistent():
     ds, cfg, state = trained_fixture()
-    gate = EntropyGate.for_classes(3, 0.8, 0.6, 0.2)
+    gate = EntropyGate(num_classes=3, tau=0.8, tau_ent=0.6, w_min=0.2, lambda_reject=0.2)
     report = build_report(state.encoder, state.bank, ds, gate,
-                          lambda_reject=0.2, entropy_gate_enabled=True,
-                          t_prime=0.1)
+                          entropy_gate_enabled=True, t_prime=0.1)
     total = ds.unlabeled_features().shape[0]
     assert report.confident + report.entropy_selected + report.rejected == total
     assert report.weight_histogram.sum() == total
@@ -208,10 +201,10 @@ def test_build_report_internally_consistent():
 
 def test_build_report_gate_on_covers_at_least_gate_off():
     ds, cfg, state = trained_fixture(separation=4.0)
-    gate = EntropyGate.for_classes(3, 0.9, 0.8, 0.2)
-    on = build_report(state.encoder, state.bank, ds, gate, 0.2,
+    gate = EntropyGate(num_classes=3, tau=0.9, tau_ent=0.8, w_min=0.2, lambda_reject=0.2)
+    on = build_report(state.encoder, state.bank, ds, gate,
                       entropy_gate_enabled=True, t_prime=0.1)
-    off = build_report(state.encoder, state.bank, ds, gate, 0.2,
+    off = build_report(state.encoder, state.bank, ds, gate,
                        entropy_gate_enabled=False, t_prime=0.1)
     assert on.pseudo_coverage >= off.pseudo_coverage
     assert off.entropy_selected == 0
@@ -219,14 +212,13 @@ def test_build_report_gate_on_covers_at_least_gate_off():
 
 def test_format_report_lines():
     ds, cfg, state = trained_fixture()
-    gate = EntropyGate.for_classes(3, 0.95, 0.4, 0.2)
-    report = build_report(state.encoder, state.bank, ds, gate, 0.2,
-                          entropy_gate_enabled=True, t_prime=0.1,
-                          histogram_bins=5)
+    gate = EntropyGate(num_classes=3, tau=0.95, tau_ent=0.4, w_min=0.2, lambda_reject=0.2)
+    report = build_report(state.encoder, state.bank, ds, gate,
+                          entropy_gate_enabled=True, t_prime=0.1)
     text = format_report(report)
     assert "test accuracy" in text
     assert "pseudo coverage" in text
-    assert "(5 bins over [0, 1])" in text
+    assert "(10 bins over [0, 1])" in text
     none_report = report
     none_report.pseudo_precision = None
     assert "n/a" in format_report(none_report)

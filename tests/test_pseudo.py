@@ -41,8 +41,7 @@ FIXTURE_ROW2_WEIGHT = 0.5116838316967641
 
 
 def fixture_gate():
-    return EntropyGate.for_classes(num_classes=4, tau=0.95, tau_ent=0.4,
-                                   w_min=0.2)
+    return EntropyGate(num_classes=4, tau=0.95, tau_ent=0.4, w_min=0.2, lambda_reject=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +52,9 @@ def test_bank_requires_unit_rows():
     rng = np.random.default_rng(0)
     protos = unit_rows(rng, 3, 5)
     PrototypeBank(prototypes=protos)
-    with pytest.raises(ValueError):
-        PrototypeBank(prototypes=protos * 2.0)
+    protos[1] *= 2.0
+    with pytest.raises(ValueError, match=r"^prototype row 1 must be unit norm \(got 2\.0"):
+        PrototypeBank(prototypes=protos)
 
 
 def test_bank_random_unit_and_deterministic():
@@ -78,21 +78,37 @@ def test_scores_by_class_reorders_shuffled_rows():
 # gate construction
 
 
-def test_for_classes_derived_quantities_exact():
-    g = EntropyGate.for_classes(num_classes=5, tau=0.9, tau_ent=0.3)
+def gate_args(**overrides):
+    return dict(dict(num_classes=3, tau=0.9, tau_ent=0.4, w_min=0.2, lambda_reject=0.2),
+                **overrides)
+
+
+def test_gate_derived_quantities_exact():
+    g = EntropyGate(**gate_args(num_classes=5, tau_ent=0.3))
     assert g.h_max == math.log(5)
     assert g.h_base == 0.3 * math.log(5)
-    assert g.w_min == 0.2
+
+
+def test_gate_is_keyword_only():
+    with pytest.raises(TypeError):
+        EntropyGate(3, 0.9, 0.4, 0.2, 0.2)
 
 
 def test_gate_parameter_domains():
     for bad in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            EntropyGate.for_classes(num_classes=3, tau=bad, tau_ent=0.4)
-        with pytest.raises(ValueError):
-            EntropyGate.for_classes(num_classes=3, tau=0.9, tau_ent=bad)
-    with pytest.raises(ValueError):
-        EntropyGate.for_classes(num_classes=1, tau=0.9, tau_ent=0.4)
+        with pytest.raises(ValueError, match=f"tau must be in \\(0, 1\\], got {bad}"):
+            EntropyGate(**gate_args(tau=bad))
+        with pytest.raises(ValueError, match=f"tau_ent must be in \\(0, 1\\], got {bad}"):
+            EntropyGate(**gate_args(tau_ent=bad))
+    for bad in (-0.1, 1.5, float("nan")):
+        for name in ("w_min", "lambda_reject"):
+            with pytest.raises(ValueError, match=f"{name} must be in \\[0, 1\\], got {bad}"):
+                EntropyGate(**gate_args(**{name: bad}))
+    with pytest.raises(ValueError, match="need at least 2 classes, got 1"):
+        EntropyGate(**gate_args(num_classes=1))
+    # the closed ends of [0, 1] are valid weights
+    for edge in (0.0, 1.0):
+        EntropyGate(**gate_args(w_min=edge, lambda_reject=edge))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +292,8 @@ def test_adaptive_weight_array_matches_scalar():
 
 
 def entropies_of(probs):
-    gate = EntropyGate.for_classes(num_classes=np.shape(probs)[1], tau=1.0,
-                                   tau_ent=1.0)
-    return [d.entropy for d in assign_pseudo_labels(probs, gate, 0.2, False)]
+    gate = EntropyGate(**gate_args(num_classes=np.shape(probs)[1], tau=1.0, tau_ent=1.0))
+    return [d.entropy for d in assign_pseudo_labels(probs, gate, False)]
 
 
 def test_fixture_entropies_match_reference():
@@ -317,7 +332,6 @@ def test_entropy_bounds_and_permutation_invariance():
 
 def test_assign_gate_on_full_decision_table():
     decisions = assign_pseudo_labels(FIXTURE_PROBS, fixture_gate(),
-                                     lambda_reject=0.2,
                                      entropy_gate_enabled=True)
     kinds = [d.kind for d in decisions]
     assert kinds == [
@@ -345,7 +359,6 @@ def test_assign_gate_on_full_decision_table():
 
 def test_assign_gate_off_rejects_all_non_confident():
     decisions = assign_pseudo_labels(FIXTURE_PROBS, fixture_gate(),
-                                     lambda_reject=0.2,
                                      entropy_gate_enabled=False)
     kinds = [d.kind for d in decisions]
     assert kinds[:2] == [DecisionKind.CONFIDENT, DecisionKind.CONFIDENT]
@@ -356,9 +369,8 @@ def test_assign_gate_off_rejects_all_non_confident():
 
 def test_assign_no_confident_rejects_everything():
     probs = np.array([[0.5, 0.5], [0.6, 0.4]])
-    gate = EntropyGate.for_classes(num_classes=2, tau=0.95, tau_ent=0.4)
-    decisions = assign_pseudo_labels(probs, gate, lambda_reject=0.3,
-                                     entropy_gate_enabled=True)
+    gate = EntropyGate(**gate_args(num_classes=2, tau=0.95, lambda_reject=0.3))
+    decisions = assign_pseudo_labels(probs, gate, entropy_gate_enabled=True)
     assert all(d.kind == DecisionKind.REJECTED for d in decisions)
     assert [d.assigned_label for d in decisions] == [2, 3]
     assert all(d.weight == 0.3 for d in decisions)
@@ -372,9 +384,8 @@ def test_assign_degenerate_e_min_keeps_low_entropy_samples():
         [0.45, 0.45, 0.10],   # h ~ 0.9489 <= e_min -> selected, weight 1
         [1 / 3, 1 / 3, 1 / 3],  # h = log 3 > e_min -> rejected
     ])
-    gate = EntropyGate.for_classes(num_classes=3, tau=0.45, tau_ent=0.6)
-    decisions = assign_pseudo_labels(probs, gate, lambda_reject=0.2,
-                                     entropy_gate_enabled=True)
+    gate = EntropyGate(**gate_args(tau=0.45, tau_ent=0.6))
+    decisions = assign_pseudo_labels(probs, gate, entropy_gate_enabled=True)
     assert decisions[0].entropy >= gate.h_base  # degenerate premise
     assert decisions[0].kind == DecisionKind.CONFIDENT
     assert decisions[1].kind == DecisionKind.ENTROPY_SELECTED
@@ -386,9 +397,8 @@ def test_assign_degenerate_e_min_keeps_low_entropy_samples():
 
 def test_assign_tie_break_takes_first_argmax():
     probs = np.array([[0.5, 0.5]])
-    gate = EntropyGate.for_classes(num_classes=2, tau=0.4, tau_ent=0.9)
-    decisions = assign_pseudo_labels(probs, gate, lambda_reject=0.2,
-                                     entropy_gate_enabled=True)
+    gate = EntropyGate(**gate_args(num_classes=2, tau=0.4, tau_ent=0.9))
+    decisions = assign_pseudo_labels(probs, gate, entropy_gate_enabled=True)
     assert decisions[0].kind == DecisionKind.CONFIDENT
     assert decisions[0].assigned_label == 0
 
@@ -396,18 +406,15 @@ def test_assign_tie_break_takes_first_argmax():
 def test_assign_validates_inputs():
     gate = fixture_gate()
     with pytest.raises(ValueError):
-        assign_pseudo_labels(np.array([[0.5, 0.5, 0.0, 0.0]]), gate,
-                             lambda_reject=1.5, entropy_gate_enabled=True)
-    with pytest.raises(ValueError):
         assign_pseudo_labels(np.array([[0.9, 0.2, 0.0, 0.0]]), gate,
-                             lambda_reject=0.2, entropy_gate_enabled=True)
+                             entropy_gate_enabled=True)
     with pytest.raises(ValueError):
         assign_pseudo_labels(np.array([[0.5, 0.5]]), gate,
-                             lambda_reject=0.2, entropy_gate_enabled=True)
+                             entropy_gate_enabled=True)
 
 
 def test_assign_rejects_bad_probability_rows_by_index():
-    gate = EntropyGate.for_classes(num_classes=2, tau=0.9, tau_ent=0.4)
+    gate = EntropyGate(**gate_args(num_classes=2))
     good = [0.3, 0.7]
     cases = [
         ([0.5, 0.6], r"row 1 must sum to 1 \(got 1\.1\)"),
@@ -416,9 +423,9 @@ def test_assign_rejects_bad_probability_rows_by_index():
     ]
     for bad, message in cases:
         with pytest.raises(ValueError, match=message):
-            assign_pseudo_labels(np.array([good, bad, good]), gate, 0.2, True)
+            assign_pseudo_labels(np.array([good, bad, good]), gate, True)
     # a row summing to 1 within 1e-9 passes
-    assign_pseudo_labels(np.array([good, [0.3, 0.7 + 5e-10]]), gate, 0.2, True)
+    assign_pseudo_labels(np.array([good, [0.3, 0.7 + 5e-10]]), gate, True)
 
 
 def test_gate_on_selection_is_superset_of_gate_off():
@@ -427,11 +434,11 @@ def test_gate_on_selection_is_superset_of_gate_off():
         c = int(rng.integers(2, 7))
         n = int(rng.integers(1, 20))
         probs = rng.dirichlet(np.full(c, 0.5), size=n)
-        gate = EntropyGate.for_classes(num_classes=c,
+        gate = EntropyGate(**gate_args(num_classes=c,
                                        tau=float(rng.uniform(0.3, 0.99)),
-                                       tau_ent=float(rng.uniform(0.1, 1.0)))
-        on = assign_pseudo_labels(probs, gate, 0.2, entropy_gate_enabled=True)
-        off = assign_pseudo_labels(probs, gate, 0.2, entropy_gate_enabled=False)
+                                       tau_ent=float(rng.uniform(0.1, 1.0))))
+        on = assign_pseudo_labels(probs, gate, entropy_gate_enabled=True)
+        off = assign_pseudo_labels(probs, gate, entropy_gate_enabled=False)
         sel_on = {i for i, d in enumerate(on) if d.kind != DecisionKind.REJECTED}
         sel_off = {i for i, d in enumerate(off) if d.kind != DecisionKind.REJECTED}
         assert sel_off <= sel_on
@@ -446,11 +453,9 @@ def test_emitted_weights_stay_in_contract_range():
     for _ in range(100):
         c = int(rng.integers(2, 6))
         probs = rng.dirichlet(np.ones(c), size=int(rng.integers(1, 16)))
-        gate = EntropyGate.for_classes(num_classes=c, tau=0.9,
-                                       tau_ent=float(rng.uniform(0.2, 0.9)),
-                                       w_min=0.25)
-        decisions = assign_pseudo_labels(probs, gate, 0.15,
-                                         entropy_gate_enabled=True)
+        gate = EntropyGate(num_classes=c, tau=0.9, tau_ent=float(rng.uniform(0.2, 0.9)),
+                           w_min=0.25, lambda_reject=0.15)
+        decisions = assign_pseudo_labels(probs, gate, entropy_gate_enabled=True)
         for d in decisions:
             if d.kind == DecisionKind.REJECTED:
                 assert d.weight == 0.15
@@ -463,9 +468,8 @@ def test_selected_weights_monotone_in_entropy_within_batch():
     checked = 0
     for trial in range(200):
         probs = rng.dirichlet(np.full(3, 0.6), size=12)
-        gate = EntropyGate.for_classes(num_classes=3, tau=0.85, tau_ent=0.8)
-        decisions = assign_pseudo_labels(probs, gate, 0.2,
-                                         entropy_gate_enabled=True)
+        gate = EntropyGate(**gate_args(tau=0.85, tau_ent=0.8))
+        decisions = assign_pseudo_labels(probs, gate, entropy_gate_enabled=True)
         picked = [d for d in decisions
                   if d.kind == DecisionKind.ENTROPY_SELECTED]
         picked.sort(key=lambda d: d.entropy)
@@ -476,13 +480,13 @@ def test_selected_weights_monotone_in_entropy_within_batch():
 
 
 def test_assignment_is_deterministic():
-    a = assign_pseudo_labels(FIXTURE_PROBS, fixture_gate(), 0.2, True)
-    b = assign_pseudo_labels(FIXTURE_PROBS, fixture_gate(), 0.2, True)
+    a = assign_pseudo_labels(FIXTURE_PROBS, fixture_gate(), True)
+    b = assign_pseudo_labels(FIXTURE_PROBS, fixture_gate(), True)
     assert (a == b).all()
 
 
 def test_decision_records_and_columns_agree():
-    decisions = assign_pseudo_labels(FIXTURE_PROBS, fixture_gate(), 0.2, True)
+    decisions = assign_pseudo_labels(FIXTURE_PROBS, fixture_gate(), True)
     names = ("kind", "assigned_label", "weight", "entropy", "max_prob")
     assert decisions.dtype.names == names
     assert len(decisions) == len(FIXTURE_PROBS)
@@ -510,7 +514,7 @@ def test_sharper_temperature_concentrates_probability():
 # per-row reference gate
 
 
-def per_row_oracle(probs, gate, lambda_reject, entropy_gate_enabled):
+def per_row_oracle(probs, gate, entropy_gate_enabled):
     """The pseudo-labeling rule applied one row at a time: the slow
     reference for the whole-array assignment. Each row's entropy is summed
     by numpy, as the batched path does, so decisions agree bit for bit."""
@@ -540,7 +544,7 @@ def per_row_oracle(probs, gate, lambda_reject, entropy_gate_enabled):
             if e_min >= gate.h_base and h <= e_min:
                 out.append((DecisionKind.ENTROPY_SELECTED, label, 1.0))
                 continue
-        out.append((DecisionKind.REJECTED, gate.num_classes + i, float(lambda_reject)))
+        out.append((DecisionKind.REJECTED, gate.num_classes + i, float(gate.lambda_reject)))
     return out, entropies
 
 
@@ -551,13 +555,13 @@ def test_assignment_matches_per_row_oracle():
         probs = rng.dirichlet(np.full(c, float(rng.uniform(0.2, 2.0))),
                               size=int(rng.integers(1, 40)))
         probs[rng.random(len(probs)) < 0.1] = np.eye(c)[0]  # one-hot rows
-        gate = EntropyGate.for_classes(num_classes=c,
-                                       tau=float(rng.uniform(0.3, 1.0)),
-                                       tau_ent=float(rng.uniform(0.05, 1.0)),
-                                       w_min=float(rng.uniform(0.0, 1.0)))
+        gate = EntropyGate(num_classes=c,
+                           tau=float(rng.uniform(0.3, 1.0)),
+                           tau_ent=float(rng.uniform(0.05, 1.0)),
+                           w_min=float(rng.uniform(0.0, 1.0)), lambda_reject=0.2)
         enabled = bool(trial % 4)
-        decisions = assign_pseudo_labels(probs, gate, 0.2, enabled)
-        expected, entropies = per_row_oracle(probs, gate, 0.2, enabled)
+        decisions = assign_pseudo_labels(probs, gate, enabled)
+        expected, entropies = per_row_oracle(probs, gate, enabled)
         assert [(d.kind, d.assigned_label, d.weight) for d in decisions] == expected
         # bit-identical entropies, including the sign of a one-hot row's zero
         for d, h in zip(decisions, entropies):

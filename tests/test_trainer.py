@@ -11,9 +11,7 @@ import pytest
 
 import sscent.trainer as trainer_mod
 from sscent import (
-    AugmentationPolicy,
     ConfigError,
-    EntropyGate,
     LossResult,
     NonFiniteLossError,
     TrainConfig,
@@ -235,6 +233,10 @@ def test_init_state_requires_full_class_coverage():
     with pytest.raises(ValueError) as err:
         init_train_state(tiny_config(), broken)
     assert "2" in str(err.value)
+    # no labeled rows at all: every class is missing
+    tags[ds.split == "labeled"] = "unlabeled"
+    with pytest.raises(ValueError, match=r"^labeled split is missing classes \[0, 1, 2\]$"):
+        init_train_state(tiny_config(), dataclasses.replace(ds, split=tags))
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +245,7 @@ def test_init_state_requires_full_class_coverage():
 
 def make_step_inputs(cfg, ds):
     state = init_train_state(cfg, ds)
-    gate = EntropyGate.for_classes(ds.num_classes, cfg.tau, cfg.tau_ent,
-                                   cfg.w_min)
-    policy = AugmentationPolicy(cfg.weak_sigma, cfg.strong_sigma,
-                                cfg.strong_dropout)
-    return state, gate, policy
+    return state, cfg.gate(ds.num_classes), cfg.policy()
 
 
 def test_assemble_batch_size_and_blocks():
@@ -433,9 +431,7 @@ def test_train_step_raises_on_non_finite_loss(monkeypatch):
     state, gate, policy = make_step_inputs(cfg, ds)
 
     def bad_loss(batch):
-        return LossResult(value=float("nan"),
-                          grad=np.zeros_like(batch.embeddings),
-                          anchor_count=1)
+        return LossResult(value=float("nan"), grad=np.zeros_like(batch.embeddings))
 
     monkeypatch.setattr(trainer_mod, "ssc_e_loss", bad_loss)
     with pytest.raises(NonFiniteLossError) as err:
