@@ -25,8 +25,8 @@ from .losses import (METHODS, ContrastiveBatch, finite_difference_error, grad_ch
                      ssc_e_loss, ssc_loss)
 from .pseudo import EntropyGate, assign_pseudo_labels, probability_row_problem
 from .trainer import (NonFiniteLossError, StepMetrics, TrainConfig, config_to_lines,
-                      format_metrics_row, key_lines, parse_config_file, parse_config_lines,
-                      read_metrics, train)
+                      format_metrics_row, gate_active, key_lines, parse_config_file,
+                      parse_config_lines, read_metrics, train)
 
 __all__ = ["main"]
 
@@ -231,7 +231,8 @@ def cmd_eval(args) -> int:
     _check_dataset_fits(state, dataset)
     t_prime = config.t_prime if args.t_prime is None else args.t_prime
     _echo(config_to_lines(config) + key_lines({"t_prime": float(t_prime)}, "eval"))
-    enabled = config.method == "ssc-e" and config.gate_enabled
+    # the gate of the checkpoint's last trained step
+    enabled = gate_active(config, max(state.step - 1, 0) // config.steps_per_epoch)
     report = build_report(state.encoder, state.bank, dataset,
                           config.gate(state.bank.num_classes), enabled, t_prime)
     print(format_report(report))
@@ -324,31 +325,32 @@ def _load_prob_rows(path) -> np.ndarray:
 def cmd_gate_sim(args) -> int:
     lines = _flag_lines("gate_sim", args, input=args.input or "(synthetic)")
     _echo(lines)
-    if args.input:
-        probs = _load_prob_rows(args.input)
-    else:
-        if args.classes < 2 or args.samples < 1:
-            raise ValueError("need --classes >= 2 and --samples >= 1")
+    probs = _load_prob_rows(args.input) if args.input else None
+    # the gates check the class count before any synthetic row is drawn
+    gates = [EntropyGate(num_classes=args.classes if probs is None else probs.shape[1],
+                         tau=tau, tau_ent=tau_ent, w_min=args.w_min,
+                         lambda_reject=args.lambda_reject)
+             for tau in args.tau for tau_ent in args.tau_ent]
+    if probs is None:
+        if args.samples < 1:
+            raise ValueError(f"need --samples >= 1, got {args.samples}")
         rng = np.random.default_rng(args.seed)
         probs = rng.dirichlet(np.full(args.classes, args.alpha), size=args.samples)
     out_lines = [f"# {c}" for c in lines]
     out_lines.append(GATE_SIM_HEADER)
-    for tau in args.tau:
-        for tau_ent in args.tau_ent:
-            gate = EntropyGate(num_classes=probs.shape[1], tau=tau, tau_ent=tau_ent,
-                               w_min=args.w_min, lambda_reject=args.lambda_reject)
-            decisions = assign_pseudo_labels(probs, gate, True)
-            for i, d in enumerate(decisions):
-                out_lines.append(",".join([
-                    repr(float(tau)),
-                    repr(float(tau_ent)),
-                    str(i),
-                    d.kind.value,
-                    str(d.assigned_label),
-                    repr(float(d.weight)),
-                    repr(float(d.entropy)),
-                    repr(float(d.max_prob)),
-                ]))
+    for gate in gates:
+        decisions = assign_pseudo_labels(probs, gate, True)
+        for i, d in enumerate(decisions):
+            out_lines.append(",".join([
+                repr(float(gate.tau)),
+                repr(float(gate.tau_ent)),
+                str(i),
+                d.kind.value,
+                str(d.assigned_label),
+                repr(float(d.weight)),
+                repr(float(d.entropy)),
+                repr(float(d.max_prob)),
+            ]))
     body = "\n".join(out_lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -41,15 +41,15 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _softplus_grad(pre, _act):
-    return 0.5 * (1.0 + np.tanh(0.5 * pre))
+def _softplus_grad(act):
+    return -np.expm1(-act)  # sigmoid(x) = 1 - exp(-softplus(x))
 
 
-def _tanh_grad(_pre, act):
+def _tanh_grad(act):
     return 1.0 - act * act
 
 
-# name -> (function, derivative(pre_activation, activation_output))
+# name -> (function, derivative as a function of the activation's output)
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "tanh": (np.tanh, _tanh_grad),
     "softplus": (_softplus, _softplus_grad),
@@ -79,7 +79,6 @@ class EncoderConfig:
 @dataclass
 class ForwardCache:
     version: int
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]  # layer inputs: activations[l] feeds layer l
     norms: np.ndarray
     embeddings: np.ndarray
@@ -122,22 +121,17 @@ class MlpEncoder:
         if not np.all(np.isfinite(x)):
             raise ValueError("inputs must be finite")
         act_fn, _ = ACTIVATIONS[self.config.activation]
-        pre_activations = []
         activations = [x]
         h = x
         for layer in range(self.num_layers - 1):
-            pre = h @ self.weights[layer] + self.biases[layer]
-            h = act_fn(pre)
-            pre_activations.append(pre)
+            h = act_fn(h @ self.weights[layer] + self.biases[layer])
             activations.append(h)
         pre_norm = h @ self.weights[-1] + self.biases[-1]
         norms = np.linalg.norm(pre_norm, axis=1)
         if np.any(norms < 1e-150):
             raise ValueError("encoder produced a zero-norm embedding")
         embeddings = pre_norm / norms[:, None]
-        cache = ForwardCache(self._version, pre_activations, activations, norms,
-                             embeddings)
-        return embeddings, cache
+        return embeddings, ForwardCache(self._version, activations, norms, embeddings)
 
     def backward(self, cache: ForwardCache, grad_embeddings) -> list[np.ndarray]:
         """Parameter gradients given d(loss)/d(embeddings).
@@ -164,8 +158,7 @@ class MlpEncoder:
             grad_b[layer] = upstream.sum(axis=0)
             if layer > 0:
                 grad_h = upstream @ self.weights[layer].T
-                upstream = grad_h * act_grad(cache.pre_activations[layer - 1],
-                                             cache.activations[layer])
+                upstream = grad_h * act_grad(cache.activations[layer])
         out = []
         for gw, gb in zip(grad_w, grad_b):
             out.extend((gw, gb))

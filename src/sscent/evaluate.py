@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .pseudo import (DecisionKind, EntropyGate, PrototypeBank,
-                     assign_pseudo_labels, class_probabilities)
+                     assign_pseudo_labels, class_probabilities, kind_counts)
 
 __all__ = [
     "EvalReport",
@@ -101,18 +101,10 @@ def build_report(encoder, bank: PrototypeBank, dataset: Dataset, gate: EntropyGa
     except ValueError:  # hidden in this export
         truth = None
     coverage, precision = pseudo_metrics(decisions, truth)
-    kinds = decisions["kind"].tolist()
     accuracy = evaluate(encoder, bank, dataset.test_features(),
                         dataset.test_labels(), t_prime)
-    return EvalReport(
-        test_accuracy=accuracy,
-        pseudo_coverage=coverage,
-        pseudo_precision=precision,
-        weight_histogram=weight_histogram(decisions),
-        confident=kinds.count(DecisionKind.CONFIDENT),
-        entropy_selected=kinds.count(DecisionKind.ENTROPY_SELECTED),
-        rejected=kinds.count(DecisionKind.REJECTED),
-    )
+    return EvalReport(accuracy, coverage, precision, weight_histogram(decisions),
+                      *kind_counts(decisions))
 
 
 def format_report(report: EvalReport) -> str:

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pseudo import check_unit_rows
+from .pseudo import check_temperature, check_unit_rows
 
 __all__ = [
     "METHODS",
@@ -103,8 +103,7 @@ class ContrastiveBatch:
             raise ValueError("weights must be finite")
         if np.any(self.weights < 0.0) or np.any(self.weights > 1.0):
             raise ValueError("weights must lie in [0, 1]")
-        if not np.isfinite(self.temperature) or self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        check_temperature(self.temperature, "temperature")
         check_unit_rows(self.embeddings, "embedding")
         if self.anchor_mask is not None:
             self.anchor_mask = np.asarray(self.anchor_mask, dtype=bool)
@@ -162,8 +161,7 @@ def _pair_factors(labels, weights, anchor_mask, variant):
     return cls, a, b, a * positive_b, contributing
 
 
-def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant,
-              want_grad=True):
+def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant):
     n = len(labels)
     cls, a, b, r, _ = _pair_factors(labels, weights, anchor_mask, variant)
     normalizer = np.add.reduce(r)
@@ -173,7 +171,7 @@ def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant,
 
     scaled = embeddings / temperature
     rem, gaps = np.empty(n), np.empty(n)
-    grad = _positive_sums(cls, a, b, embeddings) if want_grad else None
+    grad = _positive_sums(cls, a, b, embeddings)
     s_buf = np.empty((min(_BLOCK, n), n))
     e_buf = np.empty_like(s_buf)
     for start in range(0, n, _BLOCK):
@@ -193,13 +191,11 @@ def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant,
         s[diagonal] = 0.0  # i is in its own label mask; a zero gap keeps inf * 0 out
         s *= labels[block, None] == labels
         np.matmul(s, b, out=gaps[block])  # -sum_p b_p (m_i - s_ip)
-        if want_grad:
-            rho = (r[block] / (1.0 + rem[block]))[:, None]
-            grad[block] += rho * (e @ embeddings)
-            grad += e.T @ (rho * embeddings[block])
+        rho = (r[block] / (1.0 + rem[block]))[:, None]
+        grad[block] += rho * (e @ embeddings)
+        grad += e.T @ (rho * embeddings[block])
     value = float((r @ np.log1p(rem) - a @ gaps) / normalizer)
-    if want_grad:
-        grad /= normalizer * temperature
+    grad /= normalizer * temperature
     return value, grad
 
 
@@ -302,5 +298,4 @@ def grad_check(batch: ContrastiveBatch, variant: str, epsilon: float = 1e-5) -> 
     z = batch.embeddings.copy()
     rest = (batch.labels, batch.weights, batch.temperature, batch.anchor_mask, variant)
     analytic = _evaluate(z, *rest)[1]
-    return finite_difference_error(
-        [z], [analytic], lambda: _evaluate(z, *rest, want_grad=False)[0], epsilon)
+    return finite_difference_error([z], [analytic], lambda: _evaluate(z, *rest)[0], epsilon)

@@ -61,6 +61,12 @@ def check_unit_rows(rows: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} row {row} must be unit norm (got {float(norms[row])})")
 
 
+def check_temperature(value, name: str) -> None:
+    """Raise ValueError unless the temperature `value` is finite and > 0."""
+    if not np.isfinite(value) or value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def probability_row_problem(mat: np.ndarray):
     """(row, reason) for the first row of an (n, K) array that is not a
     probability vector (a non-finite or negative entry, or a sum off 1 by
@@ -172,8 +178,7 @@ def class_probabilities(z_w, bank: PrototypeBank, t_prime: float) -> np.ndarray:
     if z.ndim != 2 or z.shape[1] != bank.dim:
         raise ValueError(f"embeddings have shape {z.shape}, prototypes expect (n, {bank.dim})")
     check_unit_rows(z, "embedding")
-    if not np.isfinite(t_prime) or t_prime <= 0:
-        raise ValueError(f"temperature must be positive, got {t_prime}")
+    check_temperature(t_prime, "t_prime")
     with np.errstate(over="ignore"):  # an overflow is reported by the check below
         scaled = bank.scores_by_class(z) / float(t_prime)
     if not np.all(np.isfinite(scaled)):
@@ -266,3 +271,9 @@ def assign_pseudo_labels(probs, gate: EntropyGate, entropy_gate_enabled: bool) -
     decisions["entropy"] = entropies
     decisions["max_prob"] = max_prob
     return decisions
+
+
+def kind_counts(decisions) -> tuple[int, int, int]:
+    """(confident, entropy_selected, rejected) counts of a decision array."""
+    kinds = decisions["kind"].tolist()  # list.count matches by identity first
+    return tuple(map(kinds.count, _KINDS.tolist()))

@@ -27,7 +27,8 @@ from .data import AugmentationPolicy, Dataset, augment, read_table
 from .encoder import EncoderConfig, MlpEncoder, OptimizerState, update_prototypes
 from .evaluate import evaluate
 from .losses import METHODS, ContrastiveBatch, ssc_e_loss, ssc_loss
-from .pseudo import DecisionKind, EntropyGate, PrototypeBank, assign_pseudo_labels, class_probabilities
+from .pseudo import (DecisionKind, EntropyGate, PrototypeBank, assign_pseudo_labels,
+                     check_temperature, class_probabilities, kind_counts)
 
 __all__ = [
     "HISTORY_DTYPE",
@@ -111,8 +112,6 @@ class TrainConfig:
             raise ConfigError(f"labeled_batch_size must be >= 1, got {self.labeled_batch_size}")
         if self.mu < 1:
             raise ConfigError(f"mu must be >= 1, got {self.mu}")
-        if self.temperature <= 0 or self.t_prime <= 0:
-            raise ConfigError("temperatures must be > 0")
         if self.eta0 < 0:
             raise ConfigError(f"eta0 must be >= 0, got {self.eta0}")
         if self.epochs < 0 or self.steps_per_epoch < 1:
@@ -126,6 +125,8 @@ class TrainConfig:
                 f"gate_cutoff_fraction must be in (0, 1], got {self.gate_cutoff_fraction}")
         # reuse the constructors' own range checks
         try:
+            check_temperature(self.temperature, "temperature")
+            check_temperature(self.t_prime, "t_prime")
             EncoderConfig(input_dim=1, hidden_dims=self.hidden_dims,
                           embed_dim=self.embed_dim, activation=self.activation)
             self.policy()
@@ -526,14 +527,14 @@ def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
     state.encoder.apply_gradients(grads, state.opt)
     update_prototypes(state.bank, g[b + 2 * mu_b:], state.proto_opt)
 
-    kinds = decisions["kind"].tolist()
+    confident, entropy_selected, _ = kind_counts(decisions)
     metrics = StepMetrics(
         step=step,
         epoch=epoch,
         lr=lr,
         loss=float(result.value),
-        confident=kinds.count(DecisionKind.CONFIDENT),
-        entropy_selected=kinds.count(DecisionKind.ENTROPY_SELECTED),
+        confident=confident,
+        entropy_selected=entropy_selected,
         mean_unlabeled_weight=float(np.mean(batch.weights[b:b + mu_b])),
     )
     state.step = step + 1

@@ -17,7 +17,9 @@ from sscent import (
     train_step,
     init_train_state,
 )
+from sscent.checkpoint import load_checkpoint
 from sscent.cli import main
+from sscent.evaluate import build_report, format_report
 from sscent.pseudo import EntropyGate
 from sscent.trainer import read_metrics
 
@@ -412,6 +414,35 @@ def test_eval_append_adds_parseable_row(trained, data_csv, tmp_path, capsys):
     assert 0.0 <= float(row["test_acc"]) <= 1.0
 
 
+def test_eval_past_the_cutoff_reports_without_the_entropy_gate(data_csv, tmp_path, capsys):
+    # the gate stops after epoch 1.0 of 2, so the last trained step (epoch 1) ran
+    # without it; tau = 0.99 leaves samples for the gate to select
+    ckpt, log = tmp_path / "c.npz", tmp_path / "m.csv"
+    assert main(["train", "--data", data_csv, *FAST_SET, "--set", "gate.cutoff_fraction=0.5",
+                 "--set", "gate.tau=0.99",
+                 "--metrics-out", str(log), "--checkpoint-out", str(ckpt)]) == 0
+    config, state = load_checkpoint(ckpt)
+    dataset = load_csv(data_csv)
+    gate = config.gate(dataset.num_classes)
+    off = build_report(state.encoder, state.bank, dataset, gate, False, config.t_prime)
+    on = build_report(state.encoder, state.bank, dataset, gate, True, config.t_prime)
+    assert on.entropy_selected >= 1  # the gate would change the report here
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", data_csv,
+                 "--append", str(log)]) == 0
+    assert format_report(off) in capsys.readouterr().out
+    row = read_metrics(log)[1][-1]
+    assert (row["step"], row["epoch"]) == ("8", "2")
+    assert (row["confident"], row["entropy_selected"]) == (str(off.confident), "0")
+
+
+def test_eval_refuses_a_non_positive_t_prime(trained, data_csv, capsys):
+    # class_probabilities checks t_prime at call time: the flag is passed in as given
+    assert main(["eval", "--checkpoint", str(trained["ckpt"]), "--data", data_csv,
+                 "--t-prime", "0"]) == 1
+    assert capsys.readouterr().err == "error: t_prime must be positive, got 0.0\n"
+
+
 def test_eval_class_count_mismatch_fails_validation(trained, tmp_path, capsys):
     other = tmp_path / "four.csv"
     argv = [a if a != "3" else "4" for a in GEN_ARGS]
@@ -714,6 +745,23 @@ def test_gate_sim_invalid_probability_row_fails_validation(tmp_path, capsys):
         src.write_text(f"p_0,p_1,p_2\n# a comment\n0.5,0.3,0.2\n{row}\n")
         assert main(["gate-sim", "--input", str(src)]) == 2
         assert capsys.readouterr().err == f"error: {src}, line 4: probabilities {reason}\n"
+
+
+@pytest.mark.parametrize("classes", ["1", "0", "-1", "one-column file"])
+def test_gate_sim_class_count_gets_the_gate_message(classes, tmp_path, capsys):
+    if classes == "one-column file":
+        src = tmp_path / "one.csv"
+        src.write_text("p_0\n1.0\n")
+        argv, classes = ["--input", str(src)], "1"
+    else:
+        argv = ["--classes", classes]
+    assert main(["gate-sim", *argv]) == 1
+    assert capsys.readouterr().err == f"error: need at least 2 classes, got {classes}\n"
+
+
+def test_gate_sim_needs_a_sample(capsys):
+    assert main(["gate-sim", "--samples", "0"]) == 1
+    assert capsys.readouterr().err == "error: need --samples >= 1, got 0\n"
 
 
 # --------------------------------------------------------------- compare

@@ -1,6 +1,7 @@
 """Tests for the MLP encoder, its backward pass, and momentum SGD."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -181,6 +182,16 @@ def test_backward_matches_finite_differences_end_to_end():
             denom = max(abs(flat_g[k]), abs(numeric), 1e-8)
             worst = max(worst, abs(flat_g[k] - numeric) / denom)
     assert worst < 1e-4
+
+
+def test_softplus_derivative_is_the_sigmoid_deep_in_the_left_tail():
+    # the derivative is read from the layer output: sigmoid(x) = -expm1(-softplus(x))
+    softplus, derivative = ACTIVATIONS["softplus"]
+    pre = np.linspace(-40.0, 40.0, 161)
+    sigmoid = np.array([1.0 / (1.0 + math.exp(-x)) for x in pre])
+    got = derivative(softplus(pre))
+    assert got[0] > 0.0
+    assert np.max(np.abs(got - sigmoid) / sigmoid) <= 1e-12
 
 
 def test_backward_softplus_path_matches_finite_differences():

@@ -14,6 +14,7 @@ from sscent import (
     assign_pseudo_labels,
     class_probabilities,
 )
+from sscent.pseudo import kind_counts
 
 from conftest import unit_rows
 
@@ -177,7 +178,7 @@ def test_class_probabilities_extreme_scores_finite():
 def test_class_probabilities_bad_temperature_rejected():
     bank = PrototypeBank(prototypes=np.eye(2))
     for t in (0.0, -0.5, math.nan, math.inf):
-        with pytest.raises(ValueError, match="temperature must be positive"):
+        with pytest.raises(ValueError, match=rf"^t_prime must be positive, got {t}$"):
             class_probabilities(np.array([[1.0, 0.0]]), bank, t_prime=t)
 
 
@@ -563,6 +564,8 @@ def test_assignment_matches_per_row_oracle():
         decisions = assign_pseudo_labels(probs, gate, enabled)
         expected, entropies = per_row_oracle(probs, gate, enabled)
         assert [(d.kind, d.assigned_label, d.weight) for d in decisions] == expected
+        assert kind_counts(decisions) == tuple(
+            sum(kind is want for kind, _, _ in expected) for want in DecisionKind)
         # bit-identical entropies, including the sign of a one-hot row's zero
         for d, h in zip(decisions, entropies):
             assert (d.entropy, math.copysign(1.0, d.entropy)) == (h, math.copysign(1.0, h))

@@ -12,6 +12,7 @@ import pytest
 import sscent.trainer as trainer_mod
 from sscent import (
     ConfigError,
+    ContrastiveBatch,
     LossResult,
     NonFiniteLossError,
     TrainConfig,
@@ -103,6 +104,15 @@ def test_config_validation_errors():
     for kwargs in bad:
         with pytest.raises(ConfigError):
             tiny_config(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["temperature", "t_prime"])
+def test_a_non_positive_temperature_is_named_with_its_value(field):
+    with pytest.raises(ConfigError, match=rf"^{field} must be positive, got -0\.5$"):
+        tiny_config(**{field: -0.5})
+    # a public entry point checks again at call time, with the same message
+    with pytest.raises(ValueError, match=r"^temperature must be positive, got -0\.5$"):
+        ContrastiveBatch(np.eye(2), np.zeros(2), np.ones(2), -0.5)
 
 
 def test_parse_config_lines_overrides_and_skips_comments():
