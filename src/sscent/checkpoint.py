@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zipfile
 
 import numpy as np
@@ -76,6 +77,14 @@ def _meta_int(path, meta: dict, key: str, least: int) -> int:
     return value
 
 
+def _meta_sha256(path, meta: dict) -> str:
+    value = meta["data_sha256"]
+    # Dataset.sha256() is lowercase hex; no other value can match a dataset
+    if not isinstance(value, str) or not re.fullmatch("[0-9a-f]{64}", value):
+        raise ValueError(f"{path}: data_sha256 must be 64 hex digits, got {value!r}")
+    return value
+
+
 def load_checkpoint(path):
     """Rebuild (config, state) from a checkpoint file.
 
@@ -85,10 +94,10 @@ def load_checkpoint(path):
     architecture raises ValueError naming its entry, a non-finite array,
     a prototype row off the unit sphere or a generator state of another
     kind ValueError naming the file, a bad config line
-    ConfigError naming the file and line, and a bad step or input_dim
-    ValueError naming the file and field. A file that is not a complete
-    zip checkpoint, or whose metadata or history table has the wrong
-    shape, raises CheckpointFormatError, and one of another format
+    ConfigError naming the file and line, and a bad step, input_dim or
+    data_sha256 ValueError naming the file and field. A file that is not
+    a complete zip checkpoint, or whose metadata or history table has the
+    wrong shape, raises CheckpointFormatError, and one of another format
     version ValueError.
     """
     def incomplete(why):
@@ -114,7 +123,7 @@ def load_checkpoint(path):
             prototypes = npz["prototypes"]
             num_classes = prototypes.shape[0] if prototypes.ndim else 1
             state = new_train_state(config, input_dim, num_classes,
-                                    np.random.default_rng(0), meta["data_sha256"])
+                                    np.random.default_rng(0), _meta_sha256(path, meta))
             for name, live in _state_arrays(state).items():
                 saved = npz[name]
                 if saved.shape != live.shape:

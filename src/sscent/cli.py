@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .checkpoint import CheckpointFormatError, load_checkpoint
-from .data import (CsvFormatError, generate_gaussian_clusters, load_csv,
+from .data import (CsvFormatError, csv_rows, generate_gaussian_clusters, load_csv,
                    read_table, save_csv, split_dataset)
 from .encoder import EncoderConfig, MlpEncoder
 from .evaluate import build_report, format_report
@@ -48,9 +48,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str) -> list:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,18 +311,20 @@ def _load_prob_rows(path) -> np.ndarray:
     rows = read_table(path, lambda cols: None if cols == [f"p_{j}" for j in range(len(cols))]
                       else "header must be p_0,...,p_{C-1}")
     next(rows)
-    probs = []
+    numbers, probs = [], []
     for number, cells in rows:
         try:
             probs.append([float(c) for c in cells])
         except ValueError:
             raise CsvFormatError(path, number, "non-numeric probability cell") from None
-        problem = probability_row_problem(np.array(probs[-1:]))
-        if problem:
-            raise CsvFormatError(path, number, f"probabilities {problem[1]}")
+        numbers.append(number)
     if not probs:
         raise CsvFormatError(path, None, "no probability rows")
-    return np.array(probs)
+    probs = np.array(probs)
+    problem = probability_row_problem(probs)
+    if problem:
+        raise CsvFormatError(path, numbers[problem[0]], f"probabilities {problem[1]}")
+    return probs
 
 
 def cmd_gate_sim(args) -> int:
@@ -338,19 +343,13 @@ def cmd_gate_sim(args) -> int:
         probs = rng.dirichlet(np.full(args.classes, args.alpha), size=args.samples)
     out_lines = [f"# {c}" for c in lines]
     out_lines.append(GATE_SIM_HEADER)
+    n = len(probs)
     for gate in gates:
         decisions = assign_pseudo_labels(probs, gate, True)
-        for i, d in enumerate(decisions):
-            out_lines.append(",".join([
-                repr(float(gate.tau)),
-                repr(float(gate.tau_ent)),
-                str(i),
-                d.kind.value,
-                str(d.assigned_label),
-                repr(float(d.weight)),
-                repr(float(d.entropy)),
-                repr(float(d.max_prob)),
-            ]))
+        out_lines.extend(csv_rows([
+            np.full(n, float(gate.tau)), np.full(n, float(gate.tau_ent)), np.arange(n),
+            [kind.value for kind in decisions["kind"]], decisions["assigned_label"],
+            decisions["weight"], decisions["entropy"], decisions["max_prob"]]))
     body = "\n".join(out_lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

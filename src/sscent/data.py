@@ -24,6 +24,8 @@ __all__ = [
     "CsvFormatError",
     "Dataset",
     "augment",
+    "csv_rows",
+    "dataset_row_problem",
     "generate_gaussian_clusters",
     "load_csv",
     "read_table",
@@ -69,16 +71,9 @@ class Dataset:
             raise ValueError(
                 f"row count mismatch: {n} feature rows, {self.labels.shape} labels, "
                 f"{self.split.shape} split tags")
-        if n and not np.all(np.isfinite(self.features)):
-            raise ValueError("features must be finite")
-        bad = set(self.split) - set(SPLIT_TAGS)
-        if bad:
-            raise ValueError(f"unknown split tags {sorted(bad)}, expected {SPLIT_TAGS}")
-        if np.any(self.labels < HIDDEN_LABEL):
-            raise ValueError("labels must be >= -1")
-        hidden_outside = (self.labels == HIDDEN_LABEL) & (self.split != "unlabeled")
-        if np.any(hidden_outside):
-            raise ValueError("hidden label -1 is only allowed on unlabeled rows")
+        problem = dataset_row_problem(self.features, self.labels, self.split)
+        if problem:
+            raise ValueError("row {}: {}".format(*problem))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -127,6 +122,24 @@ class Dataset:
         digest.update(self.labels.astype("<i8").tobytes())
         digest.update(",".join(self.split.tolist()).encode())
         return digest.hexdigest()
+
+
+def dataset_row_problem(features: np.ndarray, labels: np.ndarray, split: np.ndarray):
+    """(row, reason) for the first row with a non-finite feature, a split tag
+    outside SPLIT_TAGS, a label below -1 or label -1 on a row that is not
+    unlabeled (the first that applies, in that order); None for none."""
+    finite = np.isfinite(features).all(axis=1)
+    known = np.logical_or.reduce([split == tag for tag in SPLIT_TAGS])
+    above = labels >= HIDDEN_LABEL
+    hidden_ok = (labels != HIDDEN_LABEL) | (split == "unlabeled")
+    bad = ~(finite & known & above & hidden_ok)
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, ("non-finite feature value" if not finite[row] else
+                 f"split {split[row]!r} not in {SPLIT_TAGS}" if not known[row] else
+                 f"label {labels[row]} is below -1" if not above[row] else
+                 "label -1 on a non-unlabeled row")
 
 
 def generate_gaussian_clusters(num_classes: int, dim: int, per_class: int,
@@ -252,20 +265,21 @@ def save_csv(ds: Dataset, path, hide_unlabeled_labels: bool = False,
     hide_unlabeled_labels the unlabeled rows export label -1
     (trainer-facing view).
     """
-    d = ds.num_features
-    header = [f"feat_{j}" for j in range(d)] + ["label", "split"]
-    lines = [f"# {c}" for c in header_comments]
-    lines.append(",".join(header))
-    for i in range(len(ds)):
-        label = ds.labels[i]
-        if hide_unlabeled_labels and ds.split[i] == "unlabeled":
-            label = HIDDEN_LABEL
-        cells = [repr(x) for x in ds.features[i].tolist()]  # shortest round-trip form
-        cells.append(str(int(label)))
-        cells.append(str(ds.split[i]))
-        lines.append(",".join(cells))
+    header = [f"feat_{j}" for j in range(ds.num_features)] + ["label", "split"]
+    labels = np.where(hide_unlabeled_labels & (ds.split == "unlabeled"), HIDDEN_LABEL, ds.labels)
+    lines = [*(f"# {c}" for c in header_comments), ",".join(header),
+             *csv_rows([*ds.features.T, labels, ds.split])]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def csv_rows(columns) -> list:
+    """CSV rows from whole columns, one row per entry: a float column's
+    cells by repr() (the shortest round-trip form) with NaN left empty,
+    every other column's by str()."""
+    cells = [["" if x != x else repr(x) for x in column.tolist()] if column.dtype.kind == "f"
+             else list(map(str, column.tolist())) for column in map(np.asarray, columns)]
+    return list(map(",".join, zip(*cells)))
 
 
 def read_table(path, header_problem, comments=None):
@@ -313,31 +327,28 @@ def _dataset_header_problem(cols):
 
 
 def load_csv(path) -> Dataset:
-    """Parse a dataset CSV; every structural defect names its line."""
+    """Parse a dataset CSV row by row, then check the dataset rules once
+    over the whole table; every defect names its line."""
     rows = read_table(path, _dataset_header_problem)
     d = len(next(rows)) - 2
-    features, labels, split = [], [], []
+    numbers, features, labels, split = [], [], [], []
     for number, cells in rows:
         try:
-            feat = [float(c) for c in cells[:d]]
+            features.append([float(c) for c in cells[:d]])
         except ValueError:
             raise CsvFormatError(path, number, "non-numeric feature cell") from None
-        if not all(np.isfinite(feat)):
-            raise CsvFormatError(path, number, "non-finite feature value")
         try:
-            label = int(cells[d])
+            labels.append(int(cells[d]))
         except ValueError:
             raise CsvFormatError(path, number, f"label {cells[d]!r} is not an integer") from None
-        tag = cells[d + 1]
-        if tag not in SPLIT_TAGS:
-            raise CsvFormatError(path, number,
-                                 f"split {tag!r} not in {SPLIT_TAGS}")
-        if label < HIDDEN_LABEL:
-            raise CsvFormatError(path, number, f"label {label} is below -1")
-        if label == HIDDEN_LABEL and tag != "unlabeled":
-            raise CsvFormatError(path, number, "label -1 on a non-unlabeled row")
-        features.append(feat)
-        labels.append(label)
-        split.append(tag)
-    return Dataset(np.array(features).reshape(-1, d), np.array(labels, dtype=np.int64),
-                   np.array(split, dtype=object))
+        if not -2**63 <= labels[-1] < 2**63:
+            raise CsvFormatError(path, number, f"label {cells[d]!r} is outside the int64 range")
+        numbers.append(number)
+        split.append(cells[d + 1])
+    features = np.array(features, dtype=np.float64).reshape(-1, d)
+    labels = np.array(labels, dtype=np.int64)
+    split = np.array(split, dtype=object)
+    problem = dataset_row_problem(features, labels, split)
+    if problem:
+        raise CsvFormatError(path, numbers[problem[0]], problem[1])
+    return Dataset(features, labels, split)

@@ -170,6 +170,9 @@ def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant):
             "total anchor weight is zero; no anchor with positives carries weight")
 
     scaled = embeddings / temperature
+    # a contiguous right operand: the GEMM of a transposed view has other
+    # bits at another BLAS thread count
+    columns = np.ascontiguousarray(embeddings.T)
     rem, gaps = np.empty(n), np.empty(n)
     grad = _positive_sums(cls, a, b, embeddings)
     s_buf = np.empty((min(_BLOCK, n), n))
@@ -179,7 +182,7 @@ def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant):
         s, e = s_buf[:n - start], e_buf[:n - start]
         at = np.arange(len(s))
         diagonal = (at, at + start)
-        np.matmul(scaled[block], embeddings.T, out=s)
+        np.matmul(scaled[block], columns, out=s)
         s[diagonal] = -np.inf
         top = (at, s.argmax(axis=1))
         np.subtract(s, s[top][:, None], out=s)  # s - m: 0 at the argmax, -inf at i

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import AugmentationPolicy, Dataset, augment, read_table
+from .data import AugmentationPolicy, Dataset, augment, csv_rows, read_table
 from .encoder import EncoderConfig, MlpEncoder, OptimizerState, update_prototypes
 from .evaluate import evaluate
 from .losses import METHODS, ContrastiveBatch, ssc_e_loss, ssc_loss
@@ -289,19 +289,10 @@ _row_values = operator.attrgetter(*HISTORY_DTYPE.names)
 _BLOCK_ROWS = 1024
 
 
-def _csv_rows(steps, epochs, table: np.ndarray) -> list:
-    """CSV rows from whole columns: integers by str(), floats by repr(), NaN empty."""
-    cells = [list(map(str, steps)), list(map(str, epochs))]
-    for name in HISTORY_DTYPE.names:
-        values = table[name].tolist()
-        cells.append(["" if x != x else repr(x) for x in values]
-                     if HISTORY_DTYPE[name].kind == "f" else list(map(str, values)))
-    return list(map(",".join, zip(*cells)))
-
-
 def format_metrics_row(m: StepMetrics) -> str:
     """The CSV row of `m`; a float cell that is None is left empty."""
-    return _csv_rows([m.step], [m.epoch], np.array([_row_values(m)], HISTORY_DTYPE))[0]
+    row = np.array([_row_values(m)], HISTORY_DTYPE)
+    return csv_rows([[m.step], [m.epoch], *(row[name] for name in HISTORY_DTYPE.names)])[0]
 
 
 class MetricHistory:
@@ -371,7 +362,8 @@ def write_metrics(path, history: MetricHistory, comments=()) -> None:
         for start in range(0, table.size, _BLOCK_ROWS):
             block = table[start:start + _BLOCK_ROWS]
             steps = np.arange(start, start + block.size)
-            rows = _csv_rows(steps.tolist(), (steps // history.steps_per_epoch).tolist(), block)
+            rows = csv_rows([steps, steps // history.steps_per_epoch,
+                             *(block[name] for name in HISTORY_DTYPE.names)])
             fh.write("\n".join(rows) + "\n")
 
 

@@ -431,6 +431,9 @@ def _set_history(make):
     (_set("step", -1), 1, "{path}: step must be an integer >= 0, got -1"),
     (_set("step", 8.0), 1, "{path}: step must be an integer >= 0, got 8.0"),
     (_set("input_dim", 0), 1, "{path}: input_dim must be an integer >= 1, got 0"),
+    (_set("data_sha256", 5), 1, "{path}: data_sha256 must be 64 hex digits, got 5"),
+    (_set("data_sha256", None), 1, "{path}: data_sha256 must be 64 hex digits, got None"),
+    (_set("data_sha256", "zz"), 1, "{path}: data_sha256 must be 64 hex digits, got 'zz'"),
     # a meta or history of the wrong shape makes the file incomplete: exit 2
     (lambda arrays, meta: [1, 2], 2,
      "{path}: not a complete checkpoint: meta is not a JSON object"),
@@ -467,7 +470,8 @@ def _set_history(make):
     (lambda arrays, meta: meta["rng_state"].__setitem__("bit_generator", "SFC64"), 1,
      "{path}: state must be for a PCG64 RNG"),
 ], ids=["unknown-key", "bad-value", "out-of-range", "step-not-integer", "step-negative",
-        "step-float", "input-dim-zero", "meta-not-object", "config-not-list",
+        "step-float", "input-dim-zero", "sha256-int", "sha256-null", "sha256-short",
+        "meta-not-object", "config-not-list",
         "config-item-not-string", "unknown-history-field", "missing-history-field",
         "short-history", "no-history", "param-nan", "velocity-inf", "prototype-nan",
         "prototype-not-unit", "rng-other-generator"])

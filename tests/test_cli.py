@@ -20,7 +20,7 @@ from sscent import (
 from sscent.checkpoint import load_checkpoint
 from sscent.cli import main
 from sscent.evaluate import build_report, format_report
-from sscent.pseudo import EntropyGate
+from sscent.pseudo import EntropyGate, assign_pseudo_labels
 from sscent.trainer import read_metrics
 
 
@@ -762,6 +762,58 @@ def test_gate_sim_class_count_gets_the_gate_message(classes, tmp_path, capsys):
 def test_gate_sim_needs_a_sample(capsys):
     assert main(["gate-sim", "--samples", "0"]) == 1
     assert capsys.readouterr().err == "error: need --samples >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv", [["--tau", ""], ["--tau", ","], ["--tau-ent", ""]],
+                         ids=["tau-empty", "tau-comma", "tau-ent-empty"])
+def test_gate_sim_refuses_an_empty_grid(argv, capsys):
+    # with no gate, nothing would check the class count and the run would exit 0
+    assert main(["gate-sim", "--classes", "1", "--samples", "2", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: sscent gate-sim ")
+    assert err.endswith(f"\nsscent gate-sim: argument {argv[0]}: "
+                        f"expected comma-separated floats, got {argv[1]!r}\n")
+
+
+def _reference_gate_sim_rows(probs, taus, tau_ents):
+    """The decision rows as the earlier per-record writer formatted them."""
+    lines = []
+    for tau in taus:
+        for tau_ent in tau_ents:
+            gate = EntropyGate(num_classes=probs.shape[1], tau=tau, tau_ent=tau_ent,
+                               w_min=0.2, lambda_reject=0.2)
+            for i, d in enumerate(assign_pseudo_labels(probs, gate, True)):
+                lines.append(",".join([repr(float(gate.tau)), repr(float(gate.tau_ent)), str(i),
+                                       d.kind.value, str(d.assigned_label),
+                                       repr(float(d.weight)), repr(float(d.entropy)),
+                                       repr(float(d.max_prob))]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", ["input", "synthetic"])
+def test_gate_sim_matches_the_per_record_reference(source, tmp_path):
+    grid = ["--tau", "0.5,0.9,0.95", "--tau-ent", "0.2,0.4,0.8"]
+    if source == "input":
+        # one-hot rows have entropy -0.0; the others carry a subnormal, a sum
+        # off 1 by round-off, and ties
+        probs = np.vstack([np.eye(4), [[5e-324, 1.0, 0.0, 0.0], [0.1 + 0.2, 0.7, 0.0, 0.0],
+                                       [0.25] * 4, [0.5, 0.5, 0.0, 0.0]],
+                           np.random.default_rng(2).dirichlet(np.full(4, 0.5), size=12)])
+        src = tmp_path / "probs.csv"
+        src.write_text("p_0,p_1,p_2,p_3\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in probs.tolist()))
+        argv = ["--input", str(src)]
+    else:
+        probs = np.random.default_rng(5).dirichlet(np.full(3, 0.5), size=20)
+        argv = ["--classes", "3", "--samples", "20", "--seed", "5"]
+    out = tmp_path / "decisions.csv"
+    assert main(["gate-sim", *argv, *grid, "--out", str(out)]) == 0
+    text = out.read_bytes().decode()
+    body = text.split("tau,tau_ent,sample_index,kind,label,weight,entropy,max_prob\n")[1]
+    assert body == _reference_gate_sim_rows(probs, [0.5, 0.9, 0.95], [0.2, 0.4, 0.8])
+    if source == "input":
+        assert ",confident,0,1.0,-0.0,1.0\n" in body
 
 
 # --------------------------------------------------------------- compare

@@ -152,6 +152,25 @@ def test_dataset_rejects_minus_one_off_unlabeled_rows():
                 split=np.array(["labeled", "test"], dtype=object))
 
 
+# row 1 of a three-row table breaks one rule: (features, label, split, message)
+DATASET_RULES = {
+    "non-finite": ([np.inf, 0.2], 0, "test", "non-finite feature value"),
+    "split": ([0.1, 0.2], 0, "valid", "split 'valid' not in ('labeled', 'unlabeled', 'test')"),
+    "below-minus-one": ([0.1, 0.2], -2, "unlabeled", "label -2 is below -1"),
+    "hidden-off-unlabeled": ([0.1, 0.2], -1, "test", "label -1 on a non-unlabeled row"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(DATASET_RULES))
+def test_dataset_names_the_row_of_each_rule(rule):
+    row, label, tag, message = DATASET_RULES[rule]
+    with pytest.raises(ValueError) as err:
+        Dataset(features=[[0.1, 0.2], row, [np.nan, 0.2]], labels=[0, label, -3],
+                split=["labeled", tag, "x"])
+    # row 2 breaks three rules too; the first bad row is the one named
+    assert str(err.value) == f"row 1: {message}"
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 
@@ -259,6 +278,34 @@ def test_csv_round_trip_is_lossless(tmp_path):
     assert np.array_equal(back.split, ds.split)
 
 
+def _reference_save_csv(ds, hide_unlabeled_labels):
+    """The dataset CSV body as the earlier per-row writer formatted it."""
+    lines = [",".join([f"feat_{j}" for j in range(ds.num_features)] + ["label", "split"])]
+    for i in range(len(ds)):
+        label = ds.labels[i]
+        if hide_unlabeled_labels and ds.split[i] == "unlabeled":
+            label = -1
+        cells = [repr(x) for x in ds.features[i].tolist()]
+        cells.append(str(int(label)))
+        cells.append(str(ds.split[i]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("hide", [False, True])
+def test_save_csv_matches_the_per_row_reference(tmp_path, hide):
+    ds = split_dataset(ratio_fixture(per_class=12), labels_per_class=2,
+                       test_fraction=0.3, seed=4)
+    ds.features[:5, 0] = [-0.0, 5e-324, 1e308, 0.1 + 0.2, -1e-300]
+    ds.features[5] = 0.0
+    path = tmp_path / "data.csv"
+    save_csv(ds, path, hide_unlabeled_labels=hide, header_comments=["a = 1"])
+    text = path.read_bytes().decode()
+    assert text == "# a = 1\n" + _reference_save_csv(ds, hide)
+    assert "\n-0.0," in text and "\n5e-324," in text and "\n1e+308," in text
+    assert (",-1,unlabeled\n" in text) == hide
+
+
 def test_sha256_survives_the_csv_round_trip_and_sees_every_column(tmp_path):
     ds = split_dataset(ratio_fixture(per_class=20), labels_per_class=4,
                        test_fraction=0.2, seed=5)
@@ -313,19 +360,41 @@ def test_csv_header_only_file_loads_empty(tmp_path):
 def test_csv_errors_carry_line_numbers(tmp_path):
     good = "0.1,0.2,0,labeled\n"
     cases = [
-        ("bad_width.csv", good * 3 + "0.1,0.2,0\n", 5),
-        ("bad_cell.csv", good + "x,0.2,0,labeled\n", 3),
-        ("bad_split.csv", good + "0.1,0.2,0,valid\n", 3),
-        ("bad_hidden.csv", good + "0.1,0.2,-1,test\n", 3),
-        ("bad_inf.csv", good + "inf,0.2,0,labeled\n", 3),
+        ("bad_width.csv", good * 3 + "0.1,0.2,0\n", 5, "expected 4 columns, found 3"),
+        ("bad_cell.csv", good + "x,0.2,0,labeled\n", 3, "non-numeric feature cell"),
+        ("bad_label.csv", good + "0.1,0.2,1.5,test\n", 3, "label '1.5' is not an integer"),
+        ("huge_label.csv", good + "0.1,0.2,99999999999999999999,test\n", 3,
+         "label '99999999999999999999' is outside the int64 range"),
+        ("bad_split.csv", good + "0.1,0.2,0,valid\n", 3,
+         "split 'valid' not in ('labeled', 'unlabeled', 'test')"),
+        ("bad_below.csv", good + "0.1,0.2,-2,unlabeled\n", 3, "label -2 is below -1"),
+        ("bad_hidden.csv", good + "0.1,0.2,-1,test\n", 3, "label -1 on a non-unlabeled row"),
+        ("bad_inf.csv", good + "inf,0.2,0,labeled\n", 3, "non-finite feature value"),
     ]
-    for name, body, line in cases:
+    for name, body, line, message in cases:
         path = tmp_path / name
         path.write_text("feat_0,feat_1,label,split\n" + body)
         with pytest.raises(CsvFormatError) as err:
             load_csv(path)
         assert err.value.line_number == line
-        assert f"line {line}" in str(err.value)
+        assert str(err.value) == f"{path}, line {line}: {message}"
+
+
+def test_csv_parse_defect_is_reported_before_an_earlier_rule_defect(tmp_path):
+    # cells are parsed first and the rules checked after the whole file, so
+    # the width defect on line 5 wins over the split defect on line 3
+    path = tmp_path / "two.csv"
+    path.write_text("feat_0,feat_1,label,split\n0.1,0.2,0,labeled\n"
+                    "0.1,0.2,0,valid\n0.1,0.2,0,test\n0.1,0.2\n")
+    with pytest.raises(CsvFormatError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}, line 5: expected 4 columns, found 2"
+    # of two rule defects, the earlier line is named
+    path.write_text("feat_0,feat_1,label,split\n0.1,0.2,0,labeled\n"
+                    "0.1,0.2,-1,test\n# note\n0.1,nan,0,test\n")
+    with pytest.raises(CsvFormatError) as err:
+        load_csv(path)
+    assert str(err.value) == f"{path}, line 3: label -1 on a non-unlabeled row"
 
 
 def test_csv_bad_header_rejected(tmp_path):
