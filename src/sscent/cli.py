@@ -375,7 +375,8 @@ def cmd_compare(args) -> int:
             raise ValueError(f"{path}: no test_acc values recorded")
         entries.append({
             "method": meta.get("train.method", "?"),
-            "labels_per_class": meta.get("data.labels_per_class", "?"),
+            # a per-class list is comma-joined in the log; one CSV cell here
+            "labels_per_class": meta.get("data.labels_per_class", "?").replace(",", ";"),
             "seed": meta.get("train.seed", "?"),
             "acc": float(evals[-1]),
         })
@@ -384,26 +385,23 @@ def cmd_compare(args) -> int:
 
     entries.sort(key=lambda e: (e["method"], _numeric_aware(e["labels_per_class"]),
                                 _numeric_aware(e["seed"])))
-    table = []
-    for e in entries:
-        table.append((e["method"], e["labels_per_class"], e["seed"],
-                      repr(e["acc"])))
+    table = [(e["method"], e["labels_per_class"], e["seed"], e["acc"]) for e in entries]
     groups = {}
     for e in entries:
         groups.setdefault((e["method"], e["labels_per_class"]), []).append(e["acc"])
     for (method, lpc), accs in sorted(groups.items()):
-        table.append((method, lpc, "mean", repr(float(np.mean(accs)))))
+        table.append((method, lpc, "mean", float(np.mean(accs))))
     header = ("method", "labels_per_class", "seed", "final_test_acc")
-    widths = [max(len(header[j]), max(len(row[j]) for row in table))
+    lines = csv_rows(list(zip(*table)))
+    cells = [line.split(",") for line in lines]
+    widths = [max(len(header[j]), max(len(row[j]) for row in cells))
               for j in range(4)]
     print("  ".join(header[j].ljust(widths[j]) for j in range(4)))
-    for row in table:
+    for row in cells:
         print("  ".join(row[j].ljust(widths[j]) for j in range(4)))
     if args.out:
-        lines = [",".join(header)]
-        lines.extend(",".join(row) for row in table)
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join([",".join(header), *lines]) + "\n")
         print(f"wrote {args.out}")
     return 0
 

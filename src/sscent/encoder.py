@@ -118,7 +118,7 @@ class MlpEncoder:
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ValueError(
                 f"inputs must be (n, {self.config.input_dim}), got {x.shape}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("inputs must be finite")
         act_fn, _ = ACTIVATIONS[self.config.activation]
         activations = [x]
@@ -127,8 +127,8 @@ class MlpEncoder:
             h = act_fn(h @ self.weights[layer] + self.biases[layer])
             activations.append(h)
         pre_norm = h @ self.weights[-1] + self.biases[-1]
-        norms = np.linalg.norm(pre_norm, axis=1)
-        if np.any(norms < 1e-150):
+        norms = np.sqrt(np.add.reduce(pre_norm * pre_norm, axis=1))  # np.linalg.norm's formula
+        if (norms < 1e-150).any():
             raise ValueError("encoder produced a zero-norm embedding")
         embeddings = pre_norm / norms[:, None]
         return embeddings, ForwardCache(self._version, activations, norms, embeddings)
@@ -215,11 +215,11 @@ def update_prototypes(bank: PrototypeBank, grads, state: OptimizerState) -> Prot
     vel = state.velocities[0]
     vel *= state.momentum
     vel += g
-    if state.lr == 0.0 or not np.any(vel):
+    if state.lr == 0.0 or not vel.any():
         return bank
     bank.prototypes -= state.lr * vel
-    norms = np.linalg.norm(bank.prototypes, axis=1)
-    if np.any(norms < 1e-150):
+    norms = np.sqrt(np.add.reduce(bank.prototypes * bank.prototypes, axis=1))
+    if (norms < 1e-150).any():
         raise ValueError("prototype collapsed to zero norm during update")
     bank.prototypes /= norms[:, None]
     return bank

@@ -23,8 +23,19 @@ log1p(rem_i) + (m_i - s_ip), two non-negative numbers, so nothing cancels
 however small the loss (Blanchard, Higham & Mary, arXiv:1909.03469):
       L = [sum_i r_i log1p(rem_i) + sum_i a_i sum_p b_p (m_i - s_ip)] / norm
       dL/dZ = [-W Z - W^T Z + (r/den) o (E Z) + E^T ((r/den) o Z)] / (norm T)
-with den = 1 + rem. E is formed in blocks of at most _BLOCK rows: no N x N
-array exists and nothing is kept between calls.
+with den = 1 + rem. E is formed in place in one buffer of at most _BLOCK
+rows: no N x N array exists and nothing is kept between calls.
+
+The gaps sum_p b_p (s_ip - m_i) of a block's rows are read before exp
+overwrites it, with s_ii = 0 standing in for i. Each class of more than two
+rows owns a column of an (N, C + 1) matrix that holds b_p in row p, so one
+(block x N) @ (N x (C + 1)) GEMM sums the gaps of all their rows, each read
+at its own class's column; every other row reads the zero column. A two-row
+class takes b_p s_ip from its partner p instead, and a row without positives
+reads its own zeroed s_ii. Every summed term is <= 0, so none cancels. A batch
+of many classes of three or more rows pays one GEMM column per class; a
+trainer batch has K of them (the real classes), and the two views of each
+rejected sample form a two-row class.
 
 loss_oracle recomputes either variant with literal nested loops and
 extended-precision scalars; grad_check compares the analytic gradient
@@ -59,7 +70,7 @@ METHODS = ("ssc", "ssc-e")
 # exp() on 80-bit long doubles overflows around 11356; shift above this.
 _ORACLE_EXP_GUARD = 11000.0
 
-# rows per block: a block's two (64, N) float arrays stay in L2 at N ~ 1000
+# rows per block: a block's (64, N) float array stays in L2 at N ~ 1000
 _BLOCK = 64
 
 
@@ -97,11 +108,11 @@ class ContrastiveBatch:
             raise ValueError(f"need at least 2 embeddings, got {n}")
         if self.labels.shape != (n,) or self.weights.shape != (n,):
             raise ValueError("labels and weights must each have one entry per embedding")
-        if not np.all(np.isfinite(self.embeddings)):
+        if not np.isfinite(self.embeddings).all():
             raise ValueError("embeddings must be finite")
-        if not np.all(np.isfinite(self.weights)):
+        if not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite")
-        if np.any(self.weights < 0.0) or np.any(self.weights > 1.0):
+        if (self.weights < 0.0).any() or (self.weights > 1.0).any():
             raise ValueError("weights must lie in [0, 1]")
         check_temperature(self.temperature, "temperature")
         check_unit_rows(self.embeddings, "embedding")
@@ -127,28 +138,49 @@ def _check_variant(variant: str) -> None:
 
 
 def _positive_sums(cls, a, b, embeddings):
-    """-W Z - W^T Z from class sums of b z and a z (its own function so that
-    these (N, 2, d) temporaries are freed before the row blocks exist)."""
-    n = len(cls)
-    coef = np.empty((n, 2, 1))
-    coef[:, 0, 0] = b
-    coef[:, 1, 0] = a
-    parts = coef * embeddings[:, None]
-    w = parts[0].size
-    # one bincount over (class, column) pairs sums every column
-    sums = np.bincount((cls[:, None] * w + np.arange(w)).ravel(), parts.ravel(), n * w)
-    parts -= sums.reshape(parts.shape)[cls]
-    return np.add.reduce(coef[:, ::-1] * parts, axis=1)
+    """-W Z - W^T Z, row i a_i (b_i z_i - B_c) + b_i (a_i z_i - A_c) with B_c
+    and A_c the sums of b z and a z over i's class c (its own function so that
+    these temporaries are freed before the row block exists)."""
+    n, d = embeddings.shape
+    a, b = a[:, None], b[:, None]
+    # a bincount over (class, column) pairs sums every column
+    index = (cls[:, None] * d + np.arange(d)).ravel()
+    bz, az = b * embeddings, a * embeddings
+    bz -= np.bincount(index, bz.ravel(), n * d).reshape(n, d)[cls]
+    az -= np.bincount(index, az.ravel(), n * d).reshape(n, d)[cls]
+    bz *= a
+    az *= b
+    bz += az
+    return bz
 
 
-def _pair_factors(labels, weights, anchor_mask, variant):
-    """Class ids, the factors a and b of W_ip = a_i b_p on P(i), the row sums
-    r_i = sum_p W_ip and the contributing anchors."""
+def _classes(labels):
+    """Each row's class, its number of positives |P(i)|, its column of the
+    class-sum matrix, its pair partner, and the matrix's number of columns.
+
+    A class is the first position of its label in one stable argsort, so the
+    rows of a class are order[cls] ... order[cls + count] and a two-row
+    class's partner is the sum of the two less the row itself. Classes of
+    more than two rows get the columns 1..C in sorted order; every other row
+    points at the zero column 0 and is its own partner if it has no other.
+    """
     n = len(labels)
-    # a row's class is the first sorted position of its label: two calls, where
-    # np.unique would cost a third of a call at small N
-    cls = np.sort(labels).searchsorted(labels)
-    count = np.bincount(cls)[cls] - 1
+    order = labels.argsort(kind="stable")
+    cls = labels[order].searchsorted(labels)
+    size = np.bincount(cls, minlength=n)  # indexed by a class's first position
+    count = size[cls] - 1
+    at = np.arange(n)
+    partner = np.where(count > 1, at, order[cls] + order[cls + count] - at)
+    large = (size > 2).nonzero()[0]
+    column = np.zeros(n, dtype=np.intp)
+    column[large] = np.arange(1, len(large) + 1)
+    return cls, count, column[cls], partner, len(large) + 1
+
+
+def _pair_factors(cls, count, weights, anchor_mask, variant):
+    """The factors a and b of W_ip = a_i b_p on P(i), the row sums
+    r_i = sum_p W_ip and the contributing anchors."""
+    n = len(cls)
     contributing = count > 0
     if anchor_mask is not None:
         contributing &= anchor_mask
@@ -158,12 +190,13 @@ def _pair_factors(labels, weights, anchor_mask, variant):
         a = b = np.sqrt(weights)
         positive_b = np.bincount(cls, b)[cls] - b
     a = np.divide(a, count, out=np.zeros(n), where=contributing)
-    return cls, a, b, a * positive_b, contributing
+    return a, b, a * positive_b, contributing
 
 
 def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant):
     n = len(labels)
-    cls, a, b, r, _ = _pair_factors(labels, weights, anchor_mask, variant)
+    cls, count, column, partner, width = _classes(labels)
+    a, b, r, _ = _pair_factors(cls, count, weights, anchor_mask, variant)
     normalizer = np.add.reduce(r)
     if normalizer <= 0.0:
         raise ZeroNormalizerError(
@@ -173,27 +206,37 @@ def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant):
     # a contiguous right operand: the GEMM of a transposed view has other
     # bits at another BLAS thread count
     columns = np.ascontiguousarray(embeddings.T)
+    # the zero column, then b_p in column class(p) for the classes of more
+    # than two rows
+    class_b = np.zeros((n, width))
+    class_b[np.arange(n), column] = b
+    class_b[:, 0] = 0.0
+    partner_b = b[partner]
     rem, gaps = np.empty(n), np.empty(n)
     grad = _positive_sums(cls, a, b, embeddings)
     s_buf = np.empty((min(_BLOCK, n), n))
-    e_buf = np.empty_like(s_buf)
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
-        s, e = s_buf[:n - start], e_buf[:n - start]
+        s = s_buf[:n - start]
+        flat = s.reshape(-1)
+        diagonal = flat[start::n + 1]  # s_ii of the block's rows
         at = np.arange(len(s))
-        diagonal = (at, at + start)
+        row_at = at * n  # where each row starts in flat
         np.matmul(scaled[block], columns, out=s)
-        s[diagonal] = -np.inf
-        top = (at, s.argmax(axis=1))
-        np.subtract(s, s[top][:, None], out=s)  # s - m: 0 at the argmax, -inf at i
-        np.exp(s, out=e)
+        diagonal.fill(-np.inf)
+        top = row_at + s.argmax(axis=1)
+        np.subtract(s, flat[top][:, None], out=s)  # s - m: 0 at the argmax
+        # -sum_p b_p (m_i - s_ip) from i's class column or its partner's
+        # entry, one of them zero: s_ii = 0 stands in for i itself in both
+        diagonal.fill(0.0)
+        np.add((s @ class_b)[at, column[block]],
+               partner_b[block] * flat[row_at + partner[block]], out=gaps[block])
+        diagonal.fill(-np.inf)
+        e = np.exp(s, out=s)
         # the argmax entry leaves the sum instead of a 1 being subtracted after it
-        e[top] = 0.0
+        flat[top] = 0.0
         np.add.reduce(e, axis=1, out=rem[block])
-        e[top] = 1.0
-        s[diagonal] = 0.0  # i is in its own label mask; a zero gap keeps inf * 0 out
-        s *= labels[block, None] == labels
-        np.matmul(s, b, out=gaps[block])  # -sum_p b_p (m_i - s_ip)
+        flat[top] = 1.0
         rho = (r[block] / (1.0 + rem[block]))[:, None]
         grad[block] += rho * (e @ embeddings)
         grad += e.T @ (rho * embeddings[block])

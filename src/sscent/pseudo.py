@@ -54,7 +54,7 @@ def as_finite_array(values, name: str) -> np.ndarray:
 
 def check_unit_rows(rows: np.ndarray, name: str) -> None:
     """Raise ValueError naming the first row whose norm is off 1 by > UNIT_NORM_TOL."""
-    norms = np.linalg.norm(rows, axis=1)
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))  # np.linalg.norm's own formula
     off = np.abs(norms - 1.0) > UNIT_NORM_TOL
     if off.any():
         row = int(np.argmax(off))
@@ -181,7 +181,7 @@ def class_probabilities(z_w, bank: PrototypeBank, t_prime: float) -> np.ndarray:
     check_temperature(t_prime, "t_prime")
     with np.errstate(over="ignore"):  # an overflow is reported by the check below
         scaled = bank.scores_by_class(z) / float(t_prime)
-    if not np.all(np.isfinite(scaled)):
+    if not np.isfinite(scaled).all():
         raise ValueError("temperature too small for the given scores")
     exps = np.exp(scaled - scaled.max(axis=1, keepdims=True))
     return exps / exps.sum(axis=1, keepdims=True)

@@ -504,7 +504,7 @@ def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
         state, config, gate, policy, labeled_x, labeled_y, unlabeled_x, enabled)
     loss_fn = ssc_e_loss if config.method == "ssc-e" else ssc_loss
     result = loss_fn(batch)
-    if not np.isfinite(result.value) or not np.all(np.isfinite(result.grad)):
+    if not np.isfinite(result.value) or not np.isfinite(result.grad).all():
         raise NonFiniteLossError(
             f"non-finite loss at step {step}: value {result.value}", step, batch)
 

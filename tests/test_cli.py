@@ -857,6 +857,27 @@ def test_compare_mean_matches_the_member_runs(two_logs, tmp_path):
     assert means == singles  # one run per group: mean equals the run
 
 
+def test_compare_out_keeps_a_per_class_label_list_in_one_cell(data_csv, tmp_path):
+    # one labeled class-2 row dropped: the logs record labels_per_class 4,4,3
+    with open(data_csv, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    drop = max(i for i, line in enumerate(lines) if line.endswith(",2,labeled\n"))
+    data = tmp_path / "uneven.csv"
+    data.write_text("".join(lines[:drop] + lines[drop + 1:]))
+    logs = []
+    for method in ("ssc", "ssc-e"):
+        logs.append(str(tmp_path / f"{method}.csv"))
+        assert main(["train", "--data", str(data), *FAST_SET, "--method", method,
+                     "--metrics-out", logs[-1]]) == 0
+    assert read_metrics(logs[0])[0]["data.labels_per_class"] == "4,4,3"
+    out = tmp_path / "table.csv"
+    assert main(["compare", *logs, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert rows[0] == ["method", "labels_per_class", "seed", "final_test_acc"]
+    assert [len(row) for row in rows] == [4] * 5
+    assert {row[1] for row in rows[1:]} == {"4;4;3"}
+
+
 def test_compare_missing_log_is_io_error(two_logs, tmp_path, capsys):
     ghost = str(tmp_path / "ghost.csv")
     rc = main(["compare", two_logs[0], ghost])

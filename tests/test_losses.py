@@ -18,7 +18,7 @@ from sscent import (
 )
 
 from sscent.encoder import EncoderConfig, MlpEncoder
-from sscent.losses import _evaluate, _pair_factors, finite_difference_error
+from sscent.losses import _classes, _evaluate, _pair_factors, finite_difference_error
 
 from conftest import circle_batch, random_batch, unit_rows
 
@@ -97,16 +97,17 @@ def reference_pair_weights(labels, weights, anchor_mask, variant):
 LAYOUTS = {6: (1, 1), 123: (8, 7), 963: (64, 7)}
 
 
-def trainer_layout(rng, n, regime, lambda_reject=0.2, w_min=0.2, k=3):
+def trainer_layout(rng, n, regime, lambda_reject=0.2, w_min=0.2, k=3, shape=None):
     """Labels, weights, hidden classes and pseudo-label kinds of a trainer batch.
 
     Rows are [labeled | view 1 | view 2 | prototypes], as assemble_batch
-    lays them out. Unlabeled kinds are 0 (confident), 1 (entropy-selected)
-    or 2 (rejected); a rejected sample gets the unique label k + position,
-    shared by its two views. Regimes: "typical" mixes all three kinds,
-    "collapsed" gives every unlabeled view label 0, "rejected" rejects all.
+    lays them out, with (B, mu) = `shape`, by default LAYOUTS[n]. Unlabeled
+    kinds are 0 (confident), 1 (entropy-selected) or 2 (rejected); a rejected
+    sample gets the unique label k + position, shared by its two views.
+    Regimes: "typical" mixes all three kinds, "collapsed" gives every
+    unlabeled view label 0, "rejected" rejects all.
     """
-    b, mu = LAYOUTS[n]
+    b, mu = shape or LAYOUTS[n]
     mu_b = mu * b
     truth = rng.integers(0, k, size=b + mu_b)
     kinds = {"typical": rng.integers(0, 3, size=mu_b),
@@ -123,7 +124,8 @@ def trainer_layout(rng, n, regime, lambda_reject=0.2, w_min=0.2, k=3):
 
 def factored_pair_weights(labels, weights, anchor_mask, variant):
     """The kernel's W = a b^T on the positive sets, its anchors and normalizer."""
-    _, a, b, r, contributing = _pair_factors(labels, weights, anchor_mask, variant)
+    cls, count = _classes(labels)[:2]
+    a, b, r, contributing = _pair_factors(cls, count, weights, anchor_mask, variant)
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     return np.outer(a, b) * same, contributing, np.add.reduce(r)
@@ -190,6 +192,57 @@ def test_positive_index_all_distinct_and_all_same():
 
 
 # ---------------------------------------------------------------------------
+# class layouts: each way the kernel sums a row's positives
+
+
+# class sizes of the hand-made layouts, in label order before shuffling
+CLASS_SIZES = {
+    "pairs-and-singletons": [2, 1, 2, 2, 1, 2, 1, 2],  # no class-sum column
+    "mixed": [1, 2, 3, 1, 5, 2, 4, 2, 3],
+}
+CLASS_LAYOUTS = [*CLASS_SIZES, "ten-class-trainer"]
+
+
+def class_layout_batch(rng, layout, masked):
+    """A batch of unit rows in one of CLASS_LAYOUTS, weights in [0.2, 1].
+
+    "ten-class-trainer" is a typical trainer batch with B=4, mu=2 and K=10
+    prototypes, masked as under gate.positives_only (its entropy-selected
+    views are no anchors); the other layouts shuffle classes of the given
+    sizes and mask a random third of the rows.
+    """
+    if layout == "ten-class-trainer":
+        b, mu, k = 4, 2, 10
+        labels, weights, _, kinds = trainer_layout(rng, None, "typical", k=k, shape=(b, mu))
+        kept = kinds != 1
+        mask = np.concatenate([np.ones(b, dtype=bool), kept, kept, np.ones(k, dtype=bool)])
+    else:
+        sizes = CLASS_SIZES[layout]
+        labels = rng.permutation(np.repeat(rng.permutation(50)[:len(sizes)], sizes))
+        weights = rng.uniform(0.2, 1.0, size=labels.size)
+        mask = rng.random(labels.size) >= 1 / 3
+    z = unit_rows(rng, labels.size, 8)
+    return ContrastiveBatch(z, labels, weights, 0.3, anchor_mask=mask if masked else None)
+
+
+def test_class_layouts_take_each_positive_sum_path():
+    rng = np.random.default_rng(59)
+    for layout in CLASS_LAYOUTS:
+        labels = class_layout_batch(rng, layout, False).labels
+        _, count, column, partner, width = _classes(labels)
+        sizes = np.bincount(np.unique(labels, return_inverse=True)[1])
+        # one column per class of 3 or more rows, after the zero column
+        assert width == (sizes > 2).sum() + 1
+        assert np.array_equal(np.unique(column[count > 1]), np.arange(1, width))
+        assert np.array_equal(column > 0, count > 1)
+        # a pair row's partner is the other row of its class, any other row its own
+        pair = count == 1
+        assert np.array_equal(labels[partner], labels)
+        assert np.array_equal(partner != np.arange(labels.size), pair)
+        assert np.array_equal(partner[partner], np.arange(labels.size))
+
+
+# ---------------------------------------------------------------------------
 # loss values
 
 
@@ -247,8 +300,10 @@ def test_constant_weights_reduce_within_tolerance():
 
 def test_matches_oracle_on_random_batches():
     rng = np.random.default_rng(35)
-    for _ in range(100):
-        batch = random_batch(rng, zero_weight=bool(rng.integers(0, 2)))
+    batches = [random_batch(rng, zero_weight=bool(rng.integers(0, 2))) for _ in range(100)]
+    batches += [class_layout_batch(rng, layout, masked) for layout in CLASS_LAYOUTS
+                for masked in (False, True) for _ in range(5)]
+    for batch in batches:
         for variant, fn in (("ssc", ssc_loss), ("ssc-e", ssc_e_loss)):
             fast = fn(batch).value
             slow = loss_oracle(batch, variant)
@@ -666,8 +721,10 @@ def test_anchor_mask_drops_numerator_terms_only():
 
 def test_grad_check_random_batches():
     rng = np.random.default_rng(42)
-    for _ in range(10):
-        batch = random_batch(rng, max_size=10)
+    batches = [random_batch(rng, max_size=10) for _ in range(10)]
+    batches += [class_layout_batch(rng, layout, masked) for layout in CLASS_LAYOUTS
+                for masked in (False, True)]
+    for batch in batches:
         for variant in ("ssc", "ssc-e"):
             assert grad_check(batch, variant) < 1e-4
 
