@@ -1,14 +1,14 @@
-"""Final test accuracy of the `desk` preset over many seeds, for one source tree.
+"""Final test accuracy of the `desk` preset over seeds 0-59, for one source tree.
 
 For each seed N this generates perfbench's dataset at `--seed N` and trains
-`--preset desk --seed N` with `ssc` and with `ssc-e`. Every run is a fresh
-interpreter with `PYTHONPATH=<src>` and `OPENBLAS_NUM_THREADS=1`, one worker
-per core, so a sweep reproduces a default single-process run of the same seed.
-The output CSV has one `seed,method,test_acc` row per run, sorted, with the
-accuracy as the metrics log wrote it.
+perfbench's `desk` workload with `--seed N`, once with `ssc` and once with
+`ssc-e`. Every run is a fresh interpreter with `PYTHONPATH=<src>` and
+`OPENBLAS_NUM_THREADS=1`, one worker per usable core, so a sweep reproduces a
+default single-process run of the same seed. The output CSV has one
+`seed,method,test_acc` row per run, sorted, with the accuracy as the metrics
+log wrote it.
 
     python3 experiments/desk_sweep.py --src src --out sweep.csv
-    python3 experiments/desk_sweep.py --src other/src --seeds 0-9 --out other.csv
 
 Two sweeps of different trees compare row by row (`diff a.csv b.csv`).
 """
@@ -20,20 +20,11 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
-# perfbench's dataset (perfbench/run.py GEN_DATA); the seed is appended
-GEN_DATA = ["gen-data", "--classes", "3", "--dim", "8", "--per-class", "504",
-            "--sigma", "1.0", "--separation", "4.0", "--labels-per-class", "4",
-            "--test-fraction", "0.6667"]
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+import run as perfbench  # noqa: E402  (perfbench/run.py: its dataset and desk flags)
+
+SEEDS = range(60)
 METHODS = ("ssc", "ssc-e")
-
-
-def parse_seeds(text):
-    """`0-59` or `0,3,25` (or a mix) as a sorted list of ints."""
-    seeds = set()
-    for part in text.split(","):
-        first, _, last = part.partition("-")
-        seeds.update(range(int(first), int(last or first) + 1))
-    return sorted(seeds)
 
 
 def final_test_acc(metrics_path):
@@ -63,12 +54,12 @@ def run_seed(src, seed):
 
     with tempfile.TemporaryDirectory(prefix=f"desk_sweep_{seed}_") as work:
         data = os.path.join(work, "data.csv")
-        cli(*GEN_DATA, "--seed", str(seed), "--out", data)
+        cli(*perfbench.GEN_DATA, "--seed", str(seed), "--out", data)
         rows = []
         for method in METHODS:
             metrics = os.path.join(work, f"{method}.csv")
-            cli("train", "--data", data, "--preset", "desk", "--method", method,
-                "--seed", str(seed), "--metrics-out", metrics)
+            cli("train", "--data", data, *perfbench.WORKLOADS["desk"]["train"],
+                "--method", method, "--seed", str(seed), "--metrics-out", metrics)
             rows.append((seed, method, final_test_acc(metrics)))
         return rows
 
@@ -77,18 +68,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="the tree's src/ directory")
     parser.add_argument("--out", required=True, help="the seed,method,test_acc CSV")
-    parser.add_argument("--seeds", default="0-59", help="e.g. 0-59 or 0,25 (default 0-59)")
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parser.add_argument("--workers", type=int, default=cores or 1,
-                        help="concurrent runs (default: one per usable core)")
     args = parser.parse_args(argv)
     if not os.path.isdir(os.path.join(args.src, "sscent")):
         parser.error(f"{args.src} holds no sscent package")
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
-    seeds = parse_seeds(args.seeds)
-    with ThreadPoolExecutor(max_workers=min(args.workers, len(seeds))) as pool:
-        rows = [row for rows in pool.map(lambda s: run_seed(args.src, s), seeds) for row in rows]
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=workers or 1) as pool:
+        rows = [row for rows in pool.map(lambda s: run_seed(args.src, s), SEEDS) for row in rows]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("seed,method,test_acc\n")
         fh.writelines(f"{seed},{method},{acc}\n" for seed, method, acc in rows)

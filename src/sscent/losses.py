@@ -27,15 +27,18 @@ with den = 1 + rem. E is formed in place in one buffer of at most _BLOCK
 rows: no N x N array exists and nothing is kept between calls.
 
 The gaps sum_p b_p (s_ip - m_i) of a block's rows are read before exp
-overwrites it, with s_ii = 0 standing in for i. Each class of more than two
-rows owns a column of an (N, C + 1) matrix that holds b_p in row p, so one
+overwrites it, with s_ii = 0 standing in for i; every summed term is <= 0,
+so none cancels. A class of more than max(1, N // _BLOCK) rows is large and
+owns a column of an (N, C + 1) matrix that holds b_p in row p, so one
 (block x N) @ (N x (C + 1)) GEMM sums the gaps of all their rows, each read
-at its own class's column; every other row reads the zero column. A two-row
-class takes b_p s_ip from its partner p instead, and a row without positives
-reads its own zeroed s_ii. Every summed term is <= 0, so none cancels. A batch
-of many classes of three or more rows pays one GEMM column per class; a
-trainer batch has K of them (the real classes), and the two views of each
-rejected sample form a two-row class.
+at its own class's column. A row of any other class gathers b_p s_ip over
+its class instead, at most max(1, N // _BLOCK) terms. As every large class
+has more than N // _BLOCK rows, C + 1 <= _BLOCK whatever the labels: the
+matrix is no larger than the row block and the GEMM costs at most _BLOCK
+multiply-adds per entry of s, so a call stays O(N^2 d + N^2 _BLOCK). A
+trainer batch's K real classes are normally large; the two views of each
+rejected sample form a two-row class, large below N = 128 and gathered
+above.
 
 loss_oracle recomputes either variant with literal nested loops and
 extended-precision scalars; grad_check compares the analytic gradient
@@ -155,26 +158,48 @@ def _positive_sums(cls, a, b, embeddings):
 
 
 def _classes(labels):
-    """Each row's class, its number of positives |P(i)|, its column of the
-    class-sum matrix, its pair partner, and the matrix's number of columns.
-
-    A class is the first position of its label in one stable argsort, so the
-    rows of a class are order[cls] ... order[cls + count] and a two-row
-    class's partner is the sum of the two less the row itself. Classes of
-    more than two rows get the columns 1..C in sorted order; every other row
-    points at the zero column 0 and is its own partner if it has no other.
-    """
-    n = len(labels)
+    """The stable sort order of the labels, each row's class (the first
+    sorted position of its label) and each class's size (at that position)."""
     order = labels.argsort(kind="stable")
     cls = labels[order].searchsorted(labels)
-    size = np.bincount(cls, minlength=n)  # indexed by a class's first position
-    count = size[cls] - 1
-    at = np.arange(n)
-    partner = np.where(count > 1, at, order[cls] + order[cls + count] - at)
-    large = (size > 2).nonzero()[0]
-    column = np.zeros(n, dtype=np.intp)
-    column[large] = np.arange(1, len(large) + 1)
-    return cls, count, column[cls], partner, len(large) + 1
+    return order, cls, np.bincount(cls, minlength=len(labels))
+
+
+def _gap_plan(order, cls, size, b):
+    """How each row's gap sum_p b_p (s_ip - m_i) is summed in its block.
+
+    A class of more than max(1, N // _BLOCK) rows is large and owns a column
+    c of the (N, C + 1) matrix class_b, which holds b_p in row p; column 0
+    is zero. column_at is each row's own column in the flattened
+    (block, C + 1) product s @ class_b. Every other class with positives
+    is gathered: member_at holds the flat block indices of the rows of the
+    row's class, in as many slots as the largest such class has rows, and
+    member_b their b_p, 0 in the slots past the row's class. Either pair is
+    None if no class takes that way.
+    """
+    n = len(cls)
+    block_row = np.arange(n) % _BLOCK  # each row's row in its block
+    cut = max(1, n // _BLOCK)
+    large = size > cut
+    columns = members = None
+    if large.any():
+        width = np.count_nonzero(large) + 1
+        column = large.cumsum()
+        column *= large
+        column = column[cls]
+        class_b = np.zeros((n, width))
+        class_b[np.arange(n), column] = b
+        class_b[:, 0] = 0.0
+        columns = class_b, block_row * width + column
+    if cut > 1:  # else no class of 2 .. cut rows exists
+        span = np.where(large | (size < 2), 0, size)[cls]
+        if span.any():
+            slot = np.arange(span.max())
+            member_at = order[np.minimum(np.add.outer(cls, slot), n - 1)]
+            member_b = b[member_at] * np.greater.outer(span, slot)
+            member_at += (block_row * n)[:, None]
+            members = member_at, member_b
+    return columns, members
 
 
 def _pair_factors(cls, count, weights, anchor_mask, variant):
@@ -195,7 +220,8 @@ def _pair_factors(cls, count, weights, anchor_mask, variant):
 
 def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant):
     n = len(labels)
-    cls, count, column, partner, width = _classes(labels)
+    order, cls, size = _classes(labels)
+    count = size[cls] - 1
     a, b, r, _ = _pair_factors(cls, count, weights, anchor_mask, variant)
     normalizer = np.add.reduce(r)
     if normalizer <= 0.0:
@@ -206,31 +232,29 @@ def _evaluate(embeddings, labels, weights, temperature, anchor_mask, variant):
     # a contiguous right operand: the GEMM of a transposed view has other
     # bits at another BLAS thread count
     columns = np.ascontiguousarray(embeddings.T)
-    # the zero column, then b_p in column class(p) for the classes of more
-    # than two rows
-    class_b = np.zeros((n, width))
-    class_b[np.arange(n), column] = b
-    class_b[:, 0] = 0.0
-    partner_b = b[partner]
-    rem, gaps = np.empty(n), np.empty(n)
+    column_sums, member_sums = _gap_plan(order, cls, size, b)
+    rem, gaps = np.empty(n), np.zeros(n)
     grad = _positive_sums(cls, a, b, embeddings)
     s_buf = np.empty((min(_BLOCK, n), n))
+    row_at = np.arange(0, len(s_buf) * n, n)  # where a block row starts in flat
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
         s = s_buf[:n - start]
         flat = s.reshape(-1)
         diagonal = flat[start::n + 1]  # s_ii of the block's rows
-        at = np.arange(len(s))
-        row_at = at * n  # where each row starts in flat
         np.matmul(scaled[block], columns, out=s)
         diagonal.fill(-np.inf)
-        top = row_at + s.argmax(axis=1)
+        top = row_at[:len(s)] + s.argmax(axis=1)
         np.subtract(s, flat[top][:, None], out=s)  # s - m: 0 at the argmax
-        # -sum_p b_p (m_i - s_ip) from i's class column or its partner's
-        # entry, one of them zero: s_ii = 0 stands in for i itself in both
+        # -sum_p b_p (m_i - s_ip) of each row, from its class column or its
+        # gather: s_ii = 0 stands in for i
         diagonal.fill(0.0)
-        np.add((s @ class_b)[at, column[block]],
-               partner_b[block] * flat[row_at + partner[block]], out=gaps[block])
+        if column_sums:
+            class_b, column_at = column_sums
+            gaps[block] = (s @ class_b).take(column_at[block])
+        if member_sums:
+            member_at, member_b = member_sums
+            gaps[block] += np.add.reduce(flat[member_at[block]] * member_b[block], axis=1)
         diagonal.fill(-np.inf)
         e = np.exp(s, out=s)
         # the argmax entry leaves the sum instead of a 1 being subtracted after it

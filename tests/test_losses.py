@@ -18,7 +18,8 @@ from sscent import (
 )
 
 from sscent.encoder import EncoderConfig, MlpEncoder
-from sscent.losses import _classes, _evaluate, _pair_factors, finite_difference_error
+from sscent.losses import (_BLOCK, _classes, _evaluate, _gap_plan, _pair_factors,
+                           finite_difference_error)
 
 from conftest import circle_batch, random_batch, unit_rows
 
@@ -124,8 +125,8 @@ def trainer_layout(rng, n, regime, lambda_reject=0.2, w_min=0.2, k=3, shape=None
 
 def factored_pair_weights(labels, weights, anchor_mask, variant):
     """The kernel's W = a b^T on the positive sets, its anchors and normalizer."""
-    cls, count = _classes(labels)[:2]
-    a, b, r, contributing = _pair_factors(cls, count, weights, anchor_mask, variant)
+    _, cls, size = _classes(labels)
+    a, b, r, contributing = _pair_factors(cls, size[cls] - 1, weights, anchor_mask, variant)
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     return np.outer(a, b) * same, contributing, np.add.reduce(r)
@@ -195,10 +196,16 @@ def test_positive_index_all_distinct_and_all_same():
 # class layouts: each way the kernel sums a row's positives
 
 
-# class sizes of the hand-made layouts, in label order before shuffling
+# class sizes of the hand-made layouts, in label order before shuffling; a
+# class of more than max(1, N // _BLOCK) rows owns a class-sum column, the
+# rows of a smaller one gather their class
 CLASS_SIZES = {
-    "pairs-and-singletons": [2, 1, 2, 2, 1, 2, 1, 2],  # no class-sum column
+    # N = 130: every pair is gathered, no class-sum column
+    "pairs-and-singletons": [2] * 60 + [1] * 10,
+    # N = 23: every class with positives owns a column
     "mixed": [1, 2, 3, 1, 5, 2, 4, 2, 3],
+    # N = 195: classes of 2 and 3 rows gathered, larger ones in columns
+    "gathered-and-columns": [3] * 30 + [2] * 20 + [1] * 10 + [4, 5, 6, 8, 12, 20],
 }
 CLASS_LAYOUTS = [*CLASS_SIZES, "ten-class-trainer"]
 
@@ -218,28 +225,52 @@ def class_layout_batch(rng, layout, masked):
         mask = np.concatenate([np.ones(b, dtype=bool), kept, kept, np.ones(k, dtype=bool)])
     else:
         sizes = CLASS_SIZES[layout]
-        labels = rng.permutation(np.repeat(rng.permutation(50)[:len(sizes)], sizes))
+        labels = rng.permutation(np.repeat(rng.permutation(200)[:len(sizes)], sizes))
         weights = rng.uniform(0.2, 1.0, size=labels.size)
         mask = rng.random(labels.size) >= 1 / 3
     z = unit_rows(rng, labels.size, 8)
     return ContrastiveBatch(z, labels, weights, 0.3, anchor_mask=mask if masked else None)
 
 
+def summed_rows(labels, b):
+    """For each row, {p: weight} of the s_ip its gap sums, from _gap_plan."""
+    n = labels.size
+    order, cls, size = _classes(labels)
+    column_sums, member_sums = _gap_plan(order, cls, size, b)
+    rows = [{} for _ in range(n)]
+    if column_sums:
+        class_b, column_at = column_sums
+        width = class_b.shape[1]
+        assert width <= _BLOCK
+        for i in range(n):
+            c = column_at[i] - i % _BLOCK * width
+            rows[i].update({p: class_b[p, c] for p in np.flatnonzero(class_b[:, c])})
+    if member_sums:
+        member_at, member_b = member_sums
+        assert member_at.shape[1] <= max(1, n // _BLOCK)
+        for i in range(n):
+            for at, weight in zip(member_at[i] - i % _BLOCK * n, member_b[i]):
+                if weight:
+                    assert at not in rows[i]  # one way per row
+                    rows[i][at] = weight
+    return rows, column_sums is not None, member_sums is not None
+
+
 def test_class_layouts_take_each_positive_sum_path():
     rng = np.random.default_rng(59)
+    ways = {"pairs-and-singletons": (False, True), "mixed": (True, False),
+            "gathered-and-columns": (True, True), "ten-class-trainer": (True, False)}
     for layout in CLASS_LAYOUTS:
         labels = class_layout_batch(rng, layout, False).labels
-        _, count, column, partner, width = _classes(labels)
-        sizes = np.bincount(np.unique(labels, return_inverse=True)[1])
-        # one column per class of 3 or more rows, after the zero column
-        assert width == (sizes > 2).sum() + 1
-        assert np.array_equal(np.unique(column[count > 1]), np.arange(1, width))
-        assert np.array_equal(column > 0, count > 1)
-        # a pair row's partner is the other row of its class, any other row its own
-        pair = count == 1
-        assert np.array_equal(labels[partner], labels)
-        assert np.array_equal(partner != np.arange(labels.size), pair)
-        assert np.array_equal(partner[partner], np.arange(labels.size))
+        b = rng.uniform(0.2, 1.0, size=labels.size)
+        rows, columned, gathered = summed_rows(labels, b)
+        assert (columned, gathered) == ways[layout]
+        # a row with positives sums b_p over its whole class (s_ii is 0 then);
+        # a singleton sums nothing
+        for i, summed in enumerate(rows):
+            same = np.flatnonzero(labels == labels[i])
+            expect = {p: b[p] for p in same} if same.size > 1 else {}
+            assert summed == expect
 
 
 # ---------------------------------------------------------------------------
