@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, eval, gradcheck, gate-sim, compare. Every
-run prints its resolved configuration, and every file artifact embeds the
-same lines as `# ` comments so it is self-describing. Exit codes: 0
-success, 1 validation or config error, 2 IO or file-format error, 3
-numerical failure (non-finite loss, gradient check over tolerance).
+Subcommands: gen-data, train, eval, gradcheck, gate-sim, compare. Every run
+prints its resolved configuration, and every file artifact embeds the same lines
+as `# ` comments so it is self-describing. Exit codes: 0 success, 1 validation
+or config error, 2 IO or file-format error, 3 numerical failure (non-finite
+loss, a zero-norm embedding or prototype, gradient check over tolerance).
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from .encoder import EncoderConfig, MlpEncoder
 from .evaluate import build_report, format_report
 from .losses import (METHODS, ContrastiveBatch, finite_difference_error, grad_check,
                      ssc_e_loss, ssc_loss)
-from .pseudo import EntropyGate, assign_pseudo_labels, probability_row_problem
+from .pseudo import (EntropyGate, assign_pseudo_labels, normalize_rows,
+                     probability_row_problem, row_norms)
 from .trainer import (NonFiniteLossError, StepMetrics, TrainConfig, config_to_lines,
-                      format_metrics_row, gate_active, key_lines, parse_config_file,
-                      parse_config_lines, read_metrics, train)
+                      format_metrics_row, gate_active, key_lines, metrics_header_problem,
+                      parse_config_file, parse_config_lines, read_metrics, train)
 
 __all__ = ["main"]
 
@@ -154,7 +155,7 @@ def _check_dataset_fits(state, dataset) -> None:
 
 
 def _dump_batch(batch: ContrastiveBatch, stream) -> None:
-    norms = np.linalg.norm(batch.embeddings, axis=1)
+    norms = row_norms(batch.embeddings)
     print(f"offending batch: N={batch.size}, d={batch.embeddings.shape[1]}, "
           f"temperature={batch.temperature}", file=stream)
     print(f"embedding norms: min={norms.min()!r} max={norms.max()!r}", file=stream)
@@ -229,6 +230,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.append:  # refuse a missing file or a non-metrics CSV before printing anything
+        next(read_table(args.append, metrics_header_problem))
     config, state = load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data)
     _check_dataset_fits(state, dataset)
@@ -253,8 +256,7 @@ def cmd_eval(args) -> int:
 def _random_check_batch(rng: np.random.Generator):
     n = int(rng.integers(6, 11))
     d = int(rng.integers(4, 7))
-    z = rng.normal(size=(n, d))
-    z /= np.linalg.norm(z, axis=1)[:, None]
+    z, _ = normalize_rows(rng.normal(size=(n, d)), "embedding")
     labels = rng.integers(0, max(2, n // 2), size=n)
     labels[1] = labels[0]  # guarantee at least one positive pair
     weights = rng.uniform(0.05, 1.0, size=n)
@@ -417,9 +419,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except NonFiniteLossError as exc:
+    except (NonFiniteLossError, FloatingPointError) as exc:  # the latter: a zero-norm row
         print(f"error: {exc}", file=sys.stderr)
-        _dump_batch(exc.batch, sys.stderr)
+        if isinstance(exc, NonFiniteLossError):
+            _dump_batch(exc.batch, sys.stderr)
         return 3
     except (CsvFormatError, CheckpointFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

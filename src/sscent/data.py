@@ -18,6 +18,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .pseudo import normalize_rows
+
 __all__ = [
     "SPLIT_TAGS",
     "AugmentationPolicy",
@@ -161,8 +163,7 @@ def generate_gaussian_clusters(num_classes: int, dim: int, per_class: int,
     if separation <= 0:
         raise ValueError(f"separation must be > 0, got {separation}")
     rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(num_classes, dim))
-    means = raw / np.linalg.norm(raw, axis=1)[:, None] * separation
+    means = normalize_rows(rng.normal(size=(num_classes, dim)), "class mean")[0] * separation
     blocks = [means[c] + rng.normal(0.0, cluster_sigma, size=(per_class, dim))
               for c in range(num_classes)]
     features = np.vstack(blocks)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pseudo import PrototypeBank
+from .pseudo import PrototypeBank, normalize_rows
 
 __all__ = [
     "ACTIVATIONS",
@@ -126,11 +126,7 @@ class MlpEncoder:
         for layer in range(self.num_layers - 1):
             h = act_fn(h @ self.weights[layer] + self.biases[layer])
             activations.append(h)
-        pre_norm = h @ self.weights[-1] + self.biases[-1]
-        norms = np.sqrt(np.add.reduce(pre_norm * pre_norm, axis=1))  # np.linalg.norm's formula
-        if (norms < 1e-150).any():
-            raise ValueError("encoder produced a zero-norm embedding")
-        embeddings = pre_norm / norms[:, None]
+        embeddings, norms = normalize_rows(h @ self.weights[-1] + self.biases[-1], "embedding")
         return embeddings, ForwardCache(self._version, activations, norms, embeddings)
 
     def backward(self, cache: ForwardCache, grad_embeddings) -> list[np.ndarray]:
@@ -205,21 +201,10 @@ def sgd_momentum_step(params: list[np.ndarray], grads: list[np.ndarray],
 def update_prototypes(bank: PrototypeBank, grads, state: OptimizerState) -> PrototypeBank:
     """Momentum-SGD step on the prototype matrix, then re-unit-normalize rows.
 
-    A step that moves nothing (zero velocity or zero lr) leaves the bank
-    bit-identical.
+    The rows are not renormalized at lr 0 or zero velocity. Subtracting 0 * v
+    can change only a -0.0 coordinate (to +0.0), as for the encoder's weights.
     """
-    g = np.asarray(grads, dtype=np.float64)
-    if g.shape != bank.prototypes.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match prototypes "
-                         f"{bank.prototypes.shape}")
-    vel = state.velocities[0]
-    vel *= state.momentum
-    vel += g
-    if state.lr == 0.0 or not vel.any():
-        return bank
-    bank.prototypes -= state.lr * vel
-    norms = np.sqrt(np.add.reduce(bank.prototypes * bank.prototypes, axis=1))
-    if (norms < 1e-150).any():
-        raise ValueError("prototype collapsed to zero norm during update")
-    bank.prototypes /= norms[:, None]
+    sgd_momentum_step([bank.prototypes], [np.asarray(grads, dtype=np.float64)], state)
+    if state.lr != 0.0 and state.velocities[0].any():
+        bank.prototypes = normalize_rows(bank.prototypes, "prototype")[0]
     return bank

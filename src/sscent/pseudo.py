@@ -39,25 +39,27 @@ UNIT_NORM_TOL = 1e-6
 PROB_SUM_TOL = 1e-9
 
 
-def as_finite_array(values, name: str) -> np.ndarray:
-    """Convert to a float64 array, rejecting NaN/Inf entries.
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: NumPy's own vector-norm formula, so its bits."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
-    The error for a matrix names its first bad row.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(arr)
-    if not finite.all():
-        where = f" row {int(np.argmin(finite.all(axis=1)))}" if arr.ndim == 2 else ""
-        raise ValueError(f"{name}{where} must contain only finite values")
-    return arr
+
+def normalize_rows(rows: np.ndarray, name: str):
+    """(rows / norms, norms); FloatingPointError names the first zero-norm row."""
+    norms = row_norms(rows)
+    if (norms < 1e-150).any():
+        raise FloatingPointError(f"{name} row {int(np.argmax(norms < 1e-150))} has zero norm")
+    return rows / norms[:, None], norms
 
 
 def check_unit_rows(rows: np.ndarray, name: str) -> None:
-    """Raise ValueError naming the first row whose norm is off 1 by > UNIT_NORM_TOL."""
-    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))  # np.linalg.norm's own formula
-    off = np.abs(norms - 1.0) > UNIT_NORM_TOL
+    """Raise ValueError naming the first non-finite row or norm off 1 by > UNIT_NORM_TOL."""
+    norms = row_norms(rows)
+    off = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)  # a NaN or inf row is off too
     if off.any():
         row = int(np.argmax(off))
+        if not np.isfinite(rows[row]).all():
+            raise ValueError(f"{name} row {row} must contain only finite values")
         raise ValueError(f"{name} row {row} must be unit norm (got {float(norms[row])})")
 
 
@@ -71,14 +73,13 @@ def probability_row_problem(mat: np.ndarray):
     """(row, reason) for the first row of an (n, K) array that is not a
     probability vector (a non-finite or negative entry, or a sum off 1 by
     more than PROB_SUM_TOL); None when every row is one."""
-    finite = np.isfinite(mat).all(axis=1)
     negative = (mat < 0.0).any(axis=1)
     sums = mat.sum(axis=1)
-    bad = ~finite | negative | (np.abs(sums - 1.0) > PROB_SUM_TOL)
+    bad = negative | ~(np.abs(sums - 1.0) <= PROB_SUM_TOL)  # a non-finite row sums to NaN or inf
     if not bad.any():
         return None
     row = int(np.argmax(bad))
-    return row, ("must contain only finite values" if not finite[row] else
+    return row, ("must contain only finite values" if not np.isfinite(mat[row]).all() else
                  "must be non-negative" if negative[row] else
                  f"must sum to 1 (got {float(sums[row])})")
 
@@ -101,7 +102,7 @@ class PrototypeBank:
     prototypes: np.ndarray
 
     def __post_init__(self):
-        self.prototypes = as_finite_array(self.prototypes, "prototypes")
+        self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         if self.prototypes.ndim != 2 or self.prototypes.shape[0] < 1:
             raise ValueError(f"prototypes must be a (K, d) matrix, got {self.prototypes.shape}")
         check_unit_rows(self.prototypes, "prototype")
@@ -117,9 +118,7 @@ class PrototypeBank:
     @classmethod
     def random(cls, num_classes: int, dim: int, rng: np.random.Generator) -> "PrototypeBank":
         """Seeded isotropic directions, unit-normalized."""
-        raw = rng.normal(size=(num_classes, dim))
-        raw /= np.linalg.norm(raw, axis=1)[:, None]
-        return cls(prototypes=raw)
+        return cls(prototypes=normalize_rows(rng.normal(size=(num_classes, dim)), "prototype")[0])
 
     def scores_by_class(self, embeddings: np.ndarray) -> np.ndarray:
         """Cosine scores against each prototype; column k is class k.
@@ -174,7 +173,7 @@ def class_probabilities(z_w, bank: PrototypeBank, t_prime: float) -> np.ndarray:
     Column k of the (n, K) result is class k, and each row is bit-identical
     to that row passed on its own.
     """
-    z = as_finite_array(z_w, "embedding")
+    z = np.asarray(z_w, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != bank.dim:
         raise ValueError(f"embeddings have shape {z.shape}, prototypes expect (n, {bank.dim})")
     check_unit_rows(z, "embedding")

@@ -367,16 +367,20 @@ def write_metrics(path, history: MetricHistory, comments=()) -> None:
             fh.write("\n".join(rows) + "\n")
 
 
+def metrics_header_problem(cells):
+    """`read_table`'s header rule for a metrics CSV."""
+    if cells != METRICS_HEADER.split(","):
+        return f"expected metrics header {METRICS_HEADER!r}"
+
+
 def read_metrics(path):
     """Parse a metrics CSV into (comment key/value dict, list of row dicts).
 
     Row values stay strings; empty test_acc comes back as ''.
     """
-    columns = METRICS_HEADER.split(",")
     comments = []
-    rows = read_table(path, lambda cells: None if cells == columns else
-                      f"expected metrics header {METRICS_HEADER!r}", comments)
-    next(rows)
+    rows = read_table(path, metrics_header_problem, comments)
+    columns = next(rows)
     rows = [dict(zip(columns, cells)) for _, cells in rows]
     meta = {}
     for body in comments:

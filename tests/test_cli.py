@@ -6,6 +6,7 @@ file artifacts can be asserted without subprocesses.
 
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -337,6 +338,20 @@ def test_train_desk_preset_runs(data_csv, tmp_path, capsys):
     assert "finished step 1" in capsys.readouterr().out
 
 
+def test_train_zero_norm_embedding_exits_three(tmp_path, capsys):
+    # with 3 features, a strong view at seed 3 drops every coordinate of a row
+    # in step 0; the fresh encoder's zero biases map that row to a zero embedding
+    data = tmp_path / "three_features.csv"
+    assert main(["gen-data", "--classes", "2", "--dim", "3", "--per-class", "30",
+                 "--labels-per-class", "2", "--test-fraction", "0.5",
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--preset", "desk",
+                 "--set", "train.epochs=1", "--set", "train.steps_per_epoch=2",
+                 "--seed", "3"]) == 3
+    assert re.fullmatch(r"error: embedding row \d+ has zero norm\n", capsys.readouterr().err)
+
+
 def test_train_config_file_is_read(data_csv, tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("train.labeled_batch_size = 4\n"
@@ -434,6 +449,27 @@ def test_eval_past_the_cutoff_reports_without_the_entropy_gate(data_csv, tmp_pat
     row = read_metrics(log)[1][-1]
     assert (row["step"], row["epoch"]) == ("8", "2")
     assert (row["confident"], row["entropy_selected"]) == (str(off.confident), "0")
+
+
+def test_eval_append_to_a_missing_file_creates_nothing(trained, data_csv, tmp_path, capsys):
+    log = tmp_path / "missing.csv"
+    assert main(["eval", "--checkpoint", str(trained["ckpt"]), "--data", data_csv,
+                 "--append", str(log)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not log.exists()
+
+
+def test_eval_append_refuses_a_dataset_csv(trained, data_csv, tmp_path, capsys):
+    target = tmp_path / "data.csv"
+    shutil.copyfile(data_csv, target)
+    before = target.read_bytes()
+    assert main(["eval", "--checkpoint", str(trained["ckpt"]), "--data", str(target),
+                 "--append", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: .*, line \d+: expected metrics header '.*'\n", err)
+    assert target.read_bytes() == before
 
 
 def test_eval_refuses_a_non_positive_t_prime(trained, data_csv, capsys):

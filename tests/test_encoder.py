@@ -108,6 +108,16 @@ def test_forward_input_validation():
         enc.forward(np.array([[1.0, np.nan, 0.0, 0.0, 0.0]]))
 
 
+def test_forward_zero_input_row_with_zero_biases_is_a_zero_norm_error():
+    # a fresh encoder's biases are zero and tanh(0) = 0, so an all-zero input
+    # row reaches the normalization as an all-zero row
+    enc = small_encoder()
+    x = np.random.default_rng(5).normal(size=(3, 5))
+    x[1] = 0.0
+    with pytest.raises(FloatingPointError, match=r"^embedding row 1 has zero norm$"):
+        enc.forward(x)
+
+
 # ---------------------------------------------------------------------------
 # backward pass
 
@@ -331,6 +341,16 @@ def test_update_prototypes_renormalizes_rows():
     norms = np.linalg.norm(updated.prototypes, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
     assert not np.array_equal(updated.prototypes, before)
+
+
+def test_update_prototypes_collapse_to_zero_is_a_zero_norm_error():
+    # momentum 0 and lr 1 step each row by its whole gradient: row 1 lands on zero
+    bank = PrototypeBank.random(3, 4, np.random.default_rng(38))
+    g = np.zeros_like(bank.prototypes)
+    g[1] = bank.prototypes[1]
+    state = OptimizerState.for_params([bank.prototypes], momentum=0.0, lr=1.0)
+    with pytest.raises(FloatingPointError, match=r"^prototype row 1 has zero norm$"):
+        update_prototypes(bank, g, state)
 
 
 def test_update_prototypes_velocity_carries_across_calls():

@@ -54,6 +54,15 @@ def test_batch_rejects_bad_weights_and_temperature():
         ContrastiveBatch(z[:1], np.array([0]), np.ones(1), 0.5)
 
 
+def test_batch_names_a_non_finite_embedding_row_and_a_nan_weight():
+    z = np.eye(3)
+    z[2, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^embedding row 2 must contain only finite values$"):
+        ContrastiveBatch(z, np.array([0, 0, 1]), np.ones(3), 0.5)
+    with pytest.raises(ValueError, match=r"^weights must lie in \[0, 1\]$"):
+        ContrastiveBatch(np.eye(3), np.array([0, 0, 1]), np.array([1.0, np.nan, 1.0]), 0.5)
+
+
 def test_batch_rejects_mismatched_anchor_mask():
     z = np.eye(2)
     with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
-"""Pinned training trajectories: the acceptance benchmark's desk setup.
+"""Pinned training trajectories on the acceptance benchmark's dataset.
 
-Each run trains 512 steps (8 epochs of 64, B=8, mu=7, a 16-unit encoder,
-eval every 64 steps) on 3 Gaussian classes with 4 labels each and two
-thirds of the rows held out for test. The recorded values come from NumPy
-2.4.6. Every eval's test_acc and the per-step confident/entropy_selected
-counts must match exactly; the loss every 64 steps within 1e-12 relative.
+The desk runs train 512 steps (8 epochs of 64, B=8, mu=7, a 16-unit
+encoder, eval every 64 steps) on 3 Gaussian classes with 4 labels each and
+two thirds of the rows held out for test. Two more step shapes train on the
+same data: the paper preset's (N=963 batch rows, whose small classes take
+the loss kernel's gather path) and a small-long one (N=6 rows). The
+recorded values come from NumPy 2.4.6. Every eval's test_acc and the
+per-step confident/entropy_selected counts must match exactly; the loss at
+every eval step within 1e-12 relative.
 
 A change that keeps every draw and every rounding keeps these values. A
 change that alters the trajectory updates them in its own diff.
@@ -62,4 +65,54 @@ def test_desk_trajectory_is_the_recorded_one(seed, method):
     counts = "\n".join(f"{m.confident},{m.entropy_selected}" for m in hist)
     assert hashlib.sha256(counts.encode()).hexdigest() == want["counts_sha256"]
     losses = [m.loss for m in hist[::64]]
+    assert losses == pytest.approx(want["loss"], rel=1e-12, abs=0.0)
+
+
+# TrainConfig overrides per step shape. "paper" keeps every default (B=64,
+# mu=7, 64-64 encoder, ssc-e) for one epoch, so the entropy gate is on and
+# rejected views are gathered; "small-long" is perfbench's N=6 ssc shape.
+SHAPES = {
+    "paper": dict(epochs=1, steps_per_epoch=16, eval_every=8),
+    "small-long": dict(labeled_batch_size=1, mu=1, hidden_dims=(4,), embed_dim=4,
+                       method="ssc", epochs=4, steps_per_epoch=256, eval_every=256),
+}
+
+RECORDED_SHAPES = {
+    ("paper", 0): {
+        "test_acc": [0.454, 0.51],
+        "counts_sha256": "e529eb06f8d12273d60046dc4c83542af033b362744433efb9b29217c1f7c64b",
+        "loss": [8.249272989905078, 6.540592363614878],
+    },
+    ("paper", 25): {
+        "test_acc": [0.334, 0.334],
+        "counts_sha256": "606224fdda2070198a762ff4d20530d519e88ae06d5da6993994bb80766c9144",
+        "loss": [8.432272655415222, 6.948200250314423],
+    },
+    ("small-long", 0): {
+        "test_acc": [0.884, 0.95, 0.926, 0.953],
+        "counts_sha256": "a32edb7562e591fd3d18f64308a36a17545936b5edb21793364c501af82f2dac",
+        "loss": [5.1594424100692935, 0.7304915741349916, 0.06349918359028088,
+                 0.5031757554698729],
+    },
+    ("small-long", 25): {
+        "test_acc": [0.627, 0.633, 0.663, 0.677],
+        "counts_sha256": "3d14a4d1a0e8de789d616065d4ed5eeb28330354d7417f2aa106fc0801511d3c",
+        "loss": [1.5774555063288562, 1.1585124130148456, 0.7204640628145167,
+                 0.7056981649820784],
+    },
+}
+
+
+@pytest.mark.parametrize("shape,seed", sorted(RECORDED_SHAPES))
+def test_shape_trajectory_is_the_recorded_one(shape, seed):
+    ds = generate_gaussian_clusters(3, 8, 504, 1.0, 4.0, seed)
+    ds = split_dataset(ds, labels_per_class=4, test_fraction=2 / 3, seed=seed)
+    cfg = TrainConfig(seed=seed, **SHAPES[shape])
+    _, hist = train(cfg, ds)
+    want = RECORDED_SHAPES[(shape, seed)]
+
+    assert [m.test_acc for m in hist if m.test_acc is not None] == want["test_acc"]
+    counts = "\n".join(f"{m.confident},{m.entropy_selected}" for m in hist)
+    assert hashlib.sha256(counts.encode()).hexdigest() == want["counts_sha256"]
+    losses = [m.loss for m in hist[::cfg.eval_every]]
     assert losses == pytest.approx(want["loss"], rel=1e-12, abs=0.0)
