@@ -23,11 +23,12 @@ from .encoder import EncoderConfig, MlpEncoder
 from .evaluate import build_report, format_report
 from .losses import (METHODS, ContrastiveBatch, finite_difference_error, grad_check,
                      ssc_e_loss, ssc_loss)
-from .pseudo import (EntropyGate, assign_pseudo_labels, normalize_rows,
+from .pseudo import (DecisionKind, EntropyGate, assign_pseudo_labels, normalize_rows,
                      probability_row_problem, row_norms)
-from .trainer import (NonFiniteLossError, StepMetrics, TrainConfig, config_to_lines,
-                      format_metrics_row, gate_active, key_lines, metrics_header_problem,
-                      parse_config_file, parse_config_lines, read_metrics, train)
+from .trainer import (NonFiniteLossError, StepMetrics, TrainConfig, check_dataset_fits,
+                      config_to_lines, format_metrics_row, gate_active, key_lines,
+                      metrics_header_problem, parse_config_file, parse_config_lines,
+                      read_metrics, train)
 
 __all__ = ["main"]
 
@@ -141,19 +142,6 @@ def _flag_lines(section: str, args, **shown) -> list:
                       if name not in ("command", "func", "out")}, section)
 
 
-def _check_dataset_fits(state, dataset) -> None:
-    """Refuse a dataset whose feature or class count, or whose SHA-256,
-    differs from a restored state's."""
-    have = (dataset.num_features, dataset.num_classes)
-    want = (state.encoder.config.input_dim, state.bank.num_classes)
-    if have != want:
-        raise ValueError(f"dataset has {have[0]} features and {have[1]} classes, "
-                         f"checkpoint expects {want[0]} features and {want[1]} classes")
-    digest = dataset.sha256()
-    if digest != state.data_sha256:
-        raise ValueError(f"dataset has SHA-256 {digest}, checkpoint expects {state.data_sha256}")
-
-
 def _dump_batch(batch: ContrastiveBatch, stream) -> None:
     norms = row_norms(batch.embeddings)
     print(f"offending batch: N={batch.size}, d={batch.embeddings.shape[1]}, "
@@ -209,8 +197,6 @@ def cmd_train(args) -> int:
     else:
         config = _resolve_train_config(args, flags)
     dataset = load_csv(args.data)
-    if state is not None:
-        _check_dataset_fits(state, dataset)
     _echo(config_to_lines(config))
     state, history = train(config, dataset, state=state,
                            metrics_path=args.metrics_out,
@@ -234,7 +220,7 @@ def cmd_eval(args) -> int:
         next(read_table(args.append, metrics_header_problem))
     config, state = load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data)
-    _check_dataset_fits(state, dataset)
+    check_dataset_fits(state, dataset)
     t_prime = config.t_prime if args.t_prime is None else args.t_prime
     _echo(config_to_lines(config) + key_lines({"t_prime": float(t_prime)}, "eval"))
     # the gate of the checkpoint's last trained step
@@ -350,8 +336,9 @@ def cmd_gate_sim(args) -> int:
         decisions = assign_pseudo_labels(probs, gate, True)
         out_lines.extend(csv_rows([
             np.full(n, float(gate.tau)), np.full(n, float(gate.tau_ent)), np.arange(n),
-            [kind.value for kind in decisions["kind"]], decisions["assigned_label"],
-            decisions["weight"], decisions["entropy"], decisions["max_prob"]]))
+            [DecisionKind(k).name.lower() for k in decisions["kind"].tolist()],
+            decisions["assigned_label"], decisions["weight"], decisions["entropy"],
+            decisions["max_prob"]]))
     body = "\n".join(out_lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

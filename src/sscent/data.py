@@ -211,8 +211,8 @@ class AugmentationPolicy:
     """Noise scales for the weak view and the two strong views.
 
     weak_noise_sigma may equal strong_noise_sigma (both zero gives the
-    identity transform) but never exceed it; dropout 1.0 zeroes every
-    coordinate.
+    identity transform) but never exceed it. strong_dropout_prob is below 1:
+    at 1 every strong view is all zero, and so is its embedding at step 0.
     """
 
     weak_noise_sigma: float = 0.1
@@ -226,9 +226,9 @@ class AugmentationPolicy:
             raise ValueError(
                 f"weak sigma {self.weak_noise_sigma} exceeds strong sigma "
                 f"{self.strong_noise_sigma}")
-        if not 0.0 <= self.strong_dropout_prob <= 1.0:
+        if not 0.0 <= self.strong_dropout_prob < 1.0:
             raise ValueError(
-                f"strong_dropout_prob must be in [0, 1], got {self.strong_dropout_prob}")
+                f"strong_dropout_prob must be in [0, 1), got {self.strong_dropout_prob}")
 
 
 def augment(v, policy: AugmentationPolicy, kind: str, rng: np.random.Generator):

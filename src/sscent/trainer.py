@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import AugmentationPolicy, Dataset, augment, csv_rows, read_table
+from .data import AugmentationPolicy, CsvFormatError, Dataset, augment, csv_rows, read_table
 from .encoder import EncoderConfig, MlpEncoder, OptimizerState, update_prototypes
 from .evaluate import evaluate
 from .losses import METHODS, ContrastiveBatch, ssc_e_loss, ssc_loss
@@ -112,6 +112,8 @@ class TrainConfig:
             raise ConfigError(f"labeled_batch_size must be >= 1, got {self.labeled_batch_size}")
         if self.mu < 1:
             raise ConfigError(f"mu must be >= 1, got {self.mu}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.eta0 < 0:
             raise ConfigError(f"eta0 must be >= 0, got {self.eta0}")
         if self.epochs < 0 or self.steps_per_epoch < 1:
@@ -376,12 +378,22 @@ def metrics_header_problem(cells):
 def read_metrics(path):
     """Parse a metrics CSV into (comment key/value dict, list of row dicts).
 
-    Row values stay strings; empty test_acc comes back as ''.
+    Row values stay strings; empty test_acc comes back as ''. A non-empty
+    test_acc that is not a number in [0, 1] raises CsvFormatError at its line.
     """
     comments = []
-    rows = read_table(path, metrics_header_problem, comments)
-    columns = next(rows)
-    rows = [dict(zip(columns, cells)) for _, cells in rows]
+    table = read_table(path, metrics_header_problem, comments)
+    columns = next(table)
+    rows = []
+    for number, cells in table:
+        rows.append(dict(zip(columns, cells)))
+        acc = rows[-1]["test_acc"]
+        try:
+            valid = not acc or 0.0 <= float(acc) <= 1.0  # NaN is outside
+        except ValueError:
+            valid = False
+        if not valid:
+            raise CsvFormatError(path, number, f"test_acc must be a number in [0, 1], got {acc!r}")
     meta = {}
     for body in comments:
         key, sep, value = body.partition("=")
@@ -432,6 +444,19 @@ def init_train_state(config: TrainConfig, dataset: Dataset) -> TrainState:
         raise ValueError(f"labeled split is missing classes {missing}")
     return new_train_state(config, dataset.num_features, k,
                            np.random.default_rng(config.seed), dataset.sha256())
+
+
+def check_dataset_fits(state: TrainState, dataset: Dataset) -> None:
+    """Refuse a dataset whose feature or class count, or whose SHA-256,
+    differs from a restored state's."""
+    have = (dataset.num_features, dataset.num_classes)
+    want = (state.encoder.config.input_dim, state.bank.num_classes)
+    if have != want:
+        raise ValueError(f"dataset has {have[0]} features and {have[1]} classes, "
+                         f"checkpoint expects {want[0]} features and {want[1]} classes")
+    digest = dataset.sha256()
+    if digest != state.data_sha256:
+        raise ValueError(f"dataset has SHA-256 {digest}, checkpoint expects {state.data_sha256}")
 
 
 def _sample_indices(rng: np.random.Generator, pool_size: int, count: int) -> np.ndarray:
@@ -559,7 +584,8 @@ def train(config: TrainConfig, dataset: Dataset, state: Optional[TrainState] = N
     always on the final step; checkpoints every `checkpoint_every` steps
     and always at the end when a path is given. Passing a restored state
     continues its metric history, so the final CSV matches an
-    uninterrupted run byte for byte.
+    uninterrupted run byte for byte; a dataset other than the one the
+    state was trained on raises ValueError before any step or write.
 
     Returns (state, history): the history is state.history, whose rows
     read as StepMetrics.
@@ -574,6 +600,8 @@ def train(config: TrainConfig, dataset: Dataset, state: Optional[TrainState] = N
     comments = config_to_lines(config) + _dataset_comment_lines(dataset, labeled_y)
     if state is None:
         state = init_train_state(config, dataset)
+    else:
+        check_dataset_fits(state, dataset)
     gate = config.gate(dataset.num_classes)
     policy = config.policy()
     t_total = config.epochs * config.steps_per_epoch

@@ -4,6 +4,7 @@ Everything drives sscent.cli.main() in-process so exit codes, stdout, and
 file artifacts can be asserted without subprocesses.
 """
 
+import hashlib
 import json
 import re
 import shutil
@@ -821,7 +822,7 @@ def _reference_gate_sim_rows(probs, taus, tau_ents):
                                w_min=0.2, lambda_reject=0.2)
             for i, d in enumerate(assign_pseudo_labels(probs, gate, True)):
                 lines.append(",".join([repr(float(gate.tau)), repr(float(gate.tau_ent)), str(i),
-                                       d.kind.value, str(d.assigned_label),
+                                       d.kind.name.lower(), str(d.assigned_label),
                                        repr(float(d.weight)), repr(float(d.entropy)),
                                        repr(float(d.max_prob))]))
     return "\n".join(lines) + "\n"
@@ -850,6 +851,16 @@ def test_gate_sim_matches_the_per_record_reference(source, tmp_path):
     assert body == _reference_gate_sim_rows(probs, [0.5, 0.9, 0.95], [0.2, 0.4, 0.8])
     if source == "input":
         assert ",confident,0,1.0,-0.0,1.0\n" in body
+
+
+def test_gate_sim_stdout_is_the_recorded_one(capsys):
+    # the bytes of a fixed tau x tau_ent grid; a change of the decision
+    # format must keep them
+    assert main(["gate-sim", "--classes", "4", "--samples", "64", "--tau", "0.5,0.9,0.95",
+                 "--tau-ent", "0.2,0.4,0.8", "--seed", "3"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "3d1ae63d68aeaaae35048afc2b489a277dc67563af04ab29e6c86a302903fc0f")
 
 
 # --------------------------------------------------------------- compare
@@ -912,6 +923,22 @@ def test_compare_out_keeps_a_per_class_label_list_in_one_cell(data_csv, tmp_path
     assert rows[0] == ["method", "labels_per_class", "seed", "final_test_acc"]
     assert [len(row) for row in rows] == [4] * 5
     assert {row[1] for row in rows[1:]} == {"4;4;3"}
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan"])
+def test_compare_names_the_line_of_a_malformed_test_acc(two_logs, capsys, cell):
+    with open(two_logs[1], "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    last = len(lines)  # the final row carries the last eval's test_acc
+    assert lines[-1].rsplit(",", 1)[1]
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + cell
+    with open(two_logs[1], "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert main(["compare", *two_logs]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {two_logs[1]}, line {last}: "
+                   f"test_acc must be a number in [0, 1], got {cell!r}\n")
 
 
 def test_compare_missing_log_is_io_error(two_logs, tmp_path, capsys):

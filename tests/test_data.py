@@ -177,11 +177,15 @@ def test_dataset_names_the_row_of_each_rule(rule):
 
 def test_policy_validation():
     AugmentationPolicy(weak_noise_sigma=0.0, strong_noise_sigma=0.0,
-                       strong_dropout_prob=1.0)
+                       strong_dropout_prob=0.0)
+    AugmentationPolicy(strong_dropout_prob=np.nextafter(1.0, 0.0))
     with pytest.raises(ValueError):
         AugmentationPolicy(weak_noise_sigma=0.5, strong_noise_sigma=0.1)
     with pytest.raises(ValueError):
         AugmentationPolicy(strong_dropout_prob=1.5)
+    # at 1 every strong view is all zero, and a fresh encoder embeds it at norm 0
+    with pytest.raises(ValueError, match=r"^strong_dropout_prob must be in \[0, 1\), got 1\.0$"):
+        AugmentationPolicy(strong_dropout_prob=1.0)
     with pytest.raises(ValueError):
         AugmentationPolicy(weak_noise_sigma=-0.1)
 
@@ -195,12 +199,16 @@ def test_augment_identity_when_all_knobs_zero():
     assert np.array_equal(augment(v, policy, "strong", rng), v)
 
 
-def test_augment_full_dropout_zeroes_strong_view():
+def test_augment_dropout_zeroes_the_drawn_coordinates():
     policy = AugmentationPolicy(weak_noise_sigma=0.0, strong_noise_sigma=0.0,
-                                strong_dropout_prob=1.0)
-    v = np.array([1.0, 2.0, 3.0])
+                                strong_dropout_prob=0.5)
+    v = np.arange(1.0, 41.0)
     out = augment(v, policy, "strong", np.random.default_rng(1))
-    assert np.array_equal(out, np.zeros(3))
+    rng = np.random.default_rng(1)
+    rng.normal(0.0, 0.0, size=40)
+    dropped = rng.random(40) < 0.5
+    assert 0 < dropped.sum() < 40
+    assert np.array_equal(out, np.where(dropped, 0.0, v))
 
 
 def test_augment_replays_exactly_under_same_stream():

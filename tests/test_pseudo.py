@@ -494,11 +494,19 @@ def test_decision_records_and_columns_agree():
     for i, d in enumerate(decisions):
         for name in names:
             assert getattr(d, name) == decisions[name][i] == decisions[i][name]
-    # the kind column holds the enum members themselves
+    # the kind column holds the members' codes
+    assert decisions["kind"].tolist() == [0, 0, 1, 1, 2, 2]
+
+
+def test_decision_kinds_are_int8_codes_read_as_members():
+    decisions = assign_pseudo_labels(FIXTURE_PROBS, fixture_gate(), True)
+    assert decisions.dtype["kind"] == np.int8
+    assert all(decisions.dtype[name] != object for name in decisions.dtype.names)
     expected = [DecisionKind.CONFIDENT] * 2 + [DecisionKind.ENTROPY_SELECTED] * 2 \
         + [DecisionKind.REJECTED] * 2
     assert all(d.kind is k for d, k in zip(decisions, expected))
-    assert all(k is e for k, e in zip(decisions["kind"], expected))
+    assert [k.name for k in DecisionKind] == ["CONFIDENT", "ENTROPY_SELECTED", "REJECTED"]
+    assert [int(k) for k in DecisionKind] == [0, 1, 2]
 
 
 def test_sharper_temperature_concentrates_probability():

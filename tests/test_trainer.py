@@ -99,11 +99,19 @@ def test_config_validation_errors():
         dict(hidden_dims=(8, 0)),
         dict(weak_sigma=0.9, strong_sigma=0.5),
         dict(strong_dropout=2.0),
+        dict(strong_dropout=1.0),
+        dict(seed=-1),
         dict(eval_every=-1),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
             tiny_config(**kwargs)
+
+
+def test_a_negative_seed_is_named_with_its_value():
+    # the generator would refuse it only at the first draw, without the key
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+        tiny_config(seed=-1)
 
 
 @pytest.mark.parametrize("field", ["temperature", "t_prime"])
@@ -466,6 +474,20 @@ def test_train_requires_all_three_splits():
     ds = tiny_dataset(test_fraction=0.0)
     with pytest.raises(ValueError):
         train(tiny_config(), ds)
+
+
+def test_train_refuses_a_state_trained_on_other_data(tmp_path):
+    a, b = tiny_dataset(seed=0), tiny_dataset(seed=1)
+    assert (a.num_features, a.num_classes) == (b.num_features, b.num_classes)
+    state, _ = train(tiny_config(epochs=1), a)
+    ckpt, metrics = tmp_path / "run.npz", tmp_path / "m.csv"
+    with pytest.raises(ValueError) as err:
+        train(tiny_config(epochs=2), b, state=state, metrics_path=metrics,
+              checkpoint_path=ckpt)
+    assert str(err.value) == (
+        f"dataset has SHA-256 {b.sha256()}, checkpoint expects {a.sha256()}")
+    assert state.step == 4
+    assert not ckpt.exists() and not metrics.exists()
 
 
 def test_train_history_follows_schedule_and_cadence():

@@ -2,12 +2,13 @@
 
 The desk runs train 512 steps (8 epochs of 64, B=8, mu=7, a 16-unit
 encoder, eval every 64 steps) on 3 Gaussian classes with 4 labels each and
-two thirds of the rows held out for test. Two more step shapes train on the
+two thirds of the rows held out for test. More step shapes train on the
 same data: the paper preset's (N=963 batch rows, whose small classes take
-the loss kernel's gather path) and a small-long one (N=6 rows). The
-recorded values come from NumPy 2.4.6. Every eval's test_acc and the
-per-step confident/entropy_selected counts must match exactly; the loss at
-every eval step within 1e-12 relative.
+the loss kernel's gather path), a small-long one (N=6 rows) and the desk
+shape under gate.positives_only. The recorded values come from NumPy
+2.4.6. Every eval's test_acc and the per-step confident/entropy_selected
+counts must match exactly; the loss at every eval step within 1e-12
+relative.
 
 A change that keeps every draw and every rounding keeps these values. A
 change that alters the trajectory updates them in its own diff.
@@ -70,11 +71,16 @@ def test_desk_trajectory_is_the_recorded_one(seed, method):
 
 # TrainConfig overrides per step shape. "paper" keeps every default (B=64,
 # mu=7, 64-64 encoder, ssc-e) for one epoch, so the entropy gate is on and
-# rejected views are gathered; "small-long" is perfbench's N=6 ssc shape.
+# rejected views are gathered; "small-long" is perfbench's N=6 ssc shape;
+# "desk-positives-only" is the desk run with entropy-selected views masked
+# out as anchors (gate.positives_only).
 SHAPES = {
     "paper": dict(epochs=1, steps_per_epoch=16, eval_every=8),
     "small-long": dict(labeled_batch_size=1, mu=1, hidden_dims=(4,), embed_dim=4,
                        method="ssc", epochs=4, steps_per_epoch=256, eval_every=256),
+    "desk-positives-only": dict(labeled_batch_size=8, mu=7, epochs=8, steps_per_epoch=64,
+                                hidden_dims=(16,), embed_dim=8, method="ssc-e",
+                                eval_every=64, positives_only=True),
 }
 
 RECORDED_SHAPES = {
@@ -87,6 +93,13 @@ RECORDED_SHAPES = {
         "test_acc": [0.334, 0.334],
         "counts_sha256": "606224fdda2070198a762ff4d20530d519e88ae06d5da6993994bb80766c9144",
         "loss": [8.432272655415222, 6.948200250314423],
+    },
+    ("desk-positives-only", 0): {
+        "test_acc": [0.981, 0.99, 0.988, 0.99, 0.989, 0.985, 0.988, 0.988],
+        "counts_sha256": "d1da7876c3dbd3b633172777af32191c513bbeda3d6bb43045708e8213a7cc8b",
+        "loss": [6.361723767895937, 3.9907062349847675, 4.0200222940923975,
+                 3.910017556298332, 3.971585162338216, 4.04437923682953,
+                 3.914056176397579, 3.8492710329221973],
     },
     ("small-long", 0): {
         "test_acc": [0.884, 0.95, 0.926, 0.953],
