@@ -208,51 +208,47 @@ def split_dataset(ds: Dataset, labels_per_class: int, test_fraction: float,
 
 @dataclass(frozen=True)
 class AugmentationPolicy:
-    """Noise scales for the weak view and the two strong views.
+    """Noise scales for the weak view and the two strong views (`aug.*` keys).
 
-    weak_noise_sigma may equal strong_noise_sigma (both zero gives the
-    identity transform) but never exceed it. strong_dropout_prob is below 1:
-    at 1 every strong view is all zero, and so is its embedding at step 0.
+    weak_sigma may equal strong_sigma (both zero gives the identity
+    transform) but never exceed it. strong_dropout is below 1; a strong row
+    always keeps the coordinate of its largest dropout uniform.
     """
 
-    weak_noise_sigma: float = 0.1
-    strong_noise_sigma: float = 0.5
-    strong_dropout_prob: float = 0.2
+    weak_sigma: float = 0.1
+    strong_sigma: float = 0.5
+    strong_dropout: float = 0.2
 
     def __post_init__(self):
-        if self.weak_noise_sigma < 0 or self.strong_noise_sigma < 0:
-            raise ValueError("noise sigmas must be >= 0")
-        if self.weak_noise_sigma > self.strong_noise_sigma:
+        if self.weak_sigma < 0 or self.strong_sigma < 0:
+            raise ValueError("weak_sigma and strong_sigma must be >= 0")
+        if self.weak_sigma > self.strong_sigma:
             raise ValueError(
-                f"weak sigma {self.weak_noise_sigma} exceeds strong sigma "
-                f"{self.strong_noise_sigma}")
-        if not 0.0 <= self.strong_dropout_prob < 1.0:
-            raise ValueError(
-                f"strong_dropout_prob must be in [0, 1), got {self.strong_dropout_prob}")
+                f"weak_sigma {self.weak_sigma} exceeds strong_sigma {self.strong_sigma}")
+        if not 0.0 <= self.strong_dropout < 1.0:
+            raise ValueError(f"strong_dropout must be in [0, 1), got {self.strong_dropout}")
 
 
 def augment(v, policy: AugmentationPolicy, kind: str, rng: np.random.Generator):
     """One augmented copy of a vector, or of each row of an (n, d) block.
 
-    weak: v + N(0, weak_sigma^2). strong: v + N(0, strong_sigma^2), then
-    each coordinate independently zeroed with strong_dropout_prob. Two
-    strong calls on the same rng realize two independent views. Draw
-    order: weak draws one noise block, which fills row after row; strong
-    draws, row after row, the noise row and then its dropout uniforms. So
-    a block call equals one call per row, in draws and in bits.
+    weak: v + N(0, weak_sigma^2). strong: v + N(0, strong_sigma^2), then a
+    coordinate is zeroed when its uniform is below strong_dropout and below
+    its row's largest uniform, so every row keeps at least one coordinate.
+    Two strong calls on the same rng realize two independent views. Draw
+    order: weak draws one noise block; strong draws the whole noise block,
+    then the whole block of dropout uniforms, each filled row after row.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
         raise ValueError(f"augment expects a vector or an (n, d) block, got shape {v.shape}")
     if kind == "weak":
-        return v + rng.normal(0.0, policy.weak_noise_sigma, size=v.shape)
+        return v + rng.normal(0.0, policy.weak_sigma, size=v.shape)
     if kind == "strong":
-        noise, uniforms = np.empty((2,) + v.shape)
-        for noise_row, uniform_row in zip(*np.atleast_2d(noise, uniforms)):
-            noise_row[...] = rng.normal(0.0, policy.strong_noise_sigma, size=noise_row.shape)
-            rng.random(out=uniform_row)
-        out = v + noise
-        out[uniforms < policy.strong_dropout_prob] = 0.0
+        out = v + rng.normal(0.0, policy.strong_sigma, size=v.shape)
+        uniforms = rng.random(v.shape)
+        out[(uniforms < policy.strong_dropout)
+            & (uniforms < uniforms.max(axis=-1, keepdims=True))] = 0.0
         return out
     raise ValueError(f"unknown augmentation kind {kind!r}, expected 'weak' or 'strong'")
 

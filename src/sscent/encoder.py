@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+# rows per block of `MlpEncoder.backward`; one pass over the 960 encoded rows
+# of a paper-shaped step holds more memory at once and is no faster
+_BACKWARD_ROWS = 448
+
+
 class StaleCacheError(RuntimeError):
     """A forward cache is reused after the encoder's parameters changed."""
 
@@ -133,7 +138,8 @@ class MlpEncoder:
         """Parameter gradients given d(loss)/d(embeddings).
 
         Returns gradients in parameters() order. The normalization Jacobian
-        is applied first: dL/du = (g - (g.z) z) / ||u|| per row.
+        is applied first: dL/du = (g - (g.z) z) / ||u|| per row. Blocks of
+        _BACKWARD_ROWS rows are summed in order; fewer rows are one block.
         """
         if cache.version != self._version:
             raise StaleCacheError("forward cache predates a parameter update")
@@ -141,24 +147,26 @@ class MlpEncoder:
         if g.shape != cache.embeddings.shape:
             raise ValueError(
                 f"gradient shape {g.shape} does not match embeddings {cache.embeddings.shape}")
-        z = cache.embeddings
-        radial = (g * z).sum(axis=1, keepdims=True)
-        grad_pre_norm = (g - radial * z) / cache.norms[:, None]
-
         _, act_grad = ACTIVATIONS[self.config.activation]
-        grad_w = [None] * self.num_layers
-        grad_b = [None] * self.num_layers
-        upstream = grad_pre_norm
-        for layer in range(self.num_layers - 1, -1, -1):
-            grad_w[layer] = cache.activations[layer].T @ upstream
-            grad_b[layer] = upstream.sum(axis=0)
-            if layer > 0:
-                grad_h = upstream @ self.weights[layer].T
-                upstream = grad_h * act_grad(cache.activations[layer])
-        out = []
-        for gw, gb in zip(grad_w, grad_b):
-            out.extend((gw, gb))
-        return out
+        total = None
+        for start in range(0, max(len(g), 1), _BACKWARD_ROWS):
+            rows = slice(start, start + _BACKWARD_ROWS)
+            z, gz = cache.embeddings[rows], g[rows]
+            radial = (gz * z).sum(axis=1, keepdims=True)
+            upstream = (gz - radial * z) / cache.norms[rows, None]
+            grads = [None] * (2 * self.num_layers)
+            for layer in range(self.num_layers - 1, -1, -1):
+                acts = cache.activations[layer][rows]
+                grads[2 * layer] = acts.T @ upstream
+                grads[2 * layer + 1] = upstream.sum(axis=0)
+                if layer > 0:
+                    upstream = (upstream @ self.weights[layer].T) * act_grad(acts)
+            if total is None:
+                total = grads
+            else:
+                for acc, part in zip(total, grads):
+                    acc += part
+        return total
 
     def apply_gradients(self, grads: list[np.ndarray], state: "OptimizerState") -> None:
         sgd_momentum_step(self.parameters(), grads, state)

@@ -10,7 +10,7 @@ All randomness flows through the single generator in TrainState. Draw
 order is fixed and documented per function so checkpointed runs resume
 bit-exactly: init consumes encoder weights then prototypes; each step
 consumes labeled indices, unlabeled indices, the weak view's noise block,
-then each strong view's draws (see `augment`), first view before second.
+then the noise and dropout blocks of strong view 1, then 2 (see `augment`).
 """
 
 from __future__ import annotations
@@ -481,25 +481,23 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
 
     Draws labeled indices, unlabeled indices, then the weak, first-strong
     and second-strong views of the unlabeled block, one `augment` call each.
+    Encodes the weak view alone, then [labeled | strong 1 | strong 2] at once.
 
-    Returns (batch, decisions, caches): the decision records of the
-    unlabeled samples in batch order, and the forward caches for the
-    labeled block and the two strong blocks.
+    Returns (batch, decisions, cache): the decision records of the
+    unlabeled samples in batch order, and the forward cache of the batch's
+    first B + 2*mu*B rows.
     """
     b = config.labeled_batch_size
-    mu_b = config.mu * b
     rng = state.rng
     lab_idx = _sample_indices(rng, labeled_x.shape[0], b)
-    unl_idx = _sample_indices(rng, unlabeled_x.shape[0], mu_b)
+    unl_idx = _sample_indices(rng, unlabeled_x.shape[0], config.mu * b)
     chosen = unlabeled_x[unl_idx]
     weak = augment(chosen, policy, "weak", rng)
     strong1 = augment(chosen, policy, "strong", rng)
     strong2 = augment(chosen, policy, "strong", rng)
 
-    z_lab, cache_lab = state.encoder.forward(labeled_x[lab_idx])
     z_weak, _ = state.encoder.forward(weak)
-    z_s1, cache_s1 = state.encoder.forward(strong1)
-    z_s2, cache_s2 = state.encoder.forward(strong2)
+    z, cache = state.encoder.forward(np.vstack([labeled_x[lab_idx], strong1, strong2]))
 
     probs = class_probabilities(z_weak, state.bank, config.t_prime)
     decisions = assign_pseudo_labels(probs, gate, entropy_gate_enabled)
@@ -507,7 +505,7 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     weights_u = decisions["weight"]
 
     k = state.bank.num_classes
-    embeddings = np.vstack([z_lab, z_s1, z_s2, state.bank.prototypes])
+    embeddings = np.vstack([z, state.bank.prototypes])
     labels = np.concatenate([labeled_y[lab_idx], labels_u, labels_u, np.arange(k)])
     weights = np.concatenate([np.ones(b), weights_u, weights_u, np.ones(k)])
     anchor_mask = None
@@ -518,7 +516,7 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     batch = ContrastiveBatch(embeddings=embeddings, labels=labels,
                              weights=weights, temperature=config.temperature,
                              anchor_mask=anchor_mask)
-    return batch, decisions, (cache_lab, cache_s1, cache_s2)
+    return batch, decisions, cache
 
 
 def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
@@ -529,7 +527,7 @@ def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
     epoch = step // config.steps_per_epoch
     lr = cosine_lr(step, t_total, config.eta0)
     enabled = gate_active(config, epoch)
-    batch, decisions, caches = assemble_batch(
+    batch, decisions, cache = assemble_batch(
         state, config, gate, policy, labeled_x, labeled_y, unlabeled_x, enabled)
     loss_fn = ssc_e_loss if config.method == "ssc-e" else ssc_loss
     result = loss_fn(batch)
@@ -538,15 +536,12 @@ def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
             f"non-finite loss at step {step}: value {result.value}", step, batch)
 
     b = config.labeled_batch_size
-    mu_b = config.mu * b
-    g = result.grad
-    blocks = (g[:b], g[b:b + mu_b], g[b + mu_b:b + 2 * mu_b])
-    parts = [state.encoder.backward(cache, block) for cache, block in zip(caches, blocks)]
-    grads = [lab + s1 + s2 for lab, s1, s2 in zip(*parts)]
+    rows = len(cache.embeddings)
+    grads = state.encoder.backward(cache, result.grad[:rows])
     state.opt.lr = lr
     state.proto_opt.lr = lr
     state.encoder.apply_gradients(grads, state.opt)
-    update_prototypes(state.bank, g[b + 2 * mu_b:], state.proto_opt)
+    update_prototypes(state.bank, result.grad[rows:], state.proto_opt)
 
     confident, entropy_selected, _ = kind_counts(decisions)
     metrics = StepMetrics(
@@ -556,7 +551,7 @@ def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
         loss=float(result.value),
         confident=confident,
         entropy_selected=entropy_selected,
-        mean_unlabeled_weight=float(np.mean(batch.weights[b:b + mu_b])),
+        mean_unlabeled_weight=float(np.mean(batch.weights[b:b + len(decisions)])),
     )
     state.step = step + 1
     return metrics

@@ -465,7 +465,8 @@ def _set_history(make):
      "{path}: vel_1 must be finite"),
     (_set_array("prototypes", lambda a: np.where(np.eye(*a.shape, dtype=bool), np.nan, a)), 1,
      "{path}: prototypes must be finite"),
-    (_set_array("prototypes", lambda a: 2 * a), 1,
+    # row 0 set to (2, 0, ...), whose norm is exactly 2 whatever the training bits
+    (_set_array("prototypes", lambda a: np.vstack([2 * np.eye(1, a.shape[1]), a[1:]])), 1,
      "{path}: prototype row 0 must be unit norm (got 2.0)"),
     (lambda arrays, meta: meta["rng_state"].__setitem__("bit_generator", "SFC64"), 1,
      "{path}: state must be for a PCG64 RNG"),

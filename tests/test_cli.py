@@ -16,6 +16,7 @@ from sscent import (
     TrainConfig,
     load_csv,
     save_checkpoint,
+    save_csv,
     train_step,
     init_train_state,
 )
@@ -339,18 +340,45 @@ def test_train_desk_preset_runs(data_csv, tmp_path, capsys):
     assert "finished step 1" in capsys.readouterr().out
 
 
+THREE_FEATURES = ["gen-data", "--classes", "2", "--dim", "3", "--per-class", "30",
+                  "--labels-per-class", "2", "--test-fraction", "0.5"]
+
+
 def test_train_zero_norm_embedding_exits_three(tmp_path, capsys):
-    # with 3 features, a strong view at seed 3 drops every coordinate of a row
-    # in step 0; the fresh encoder's zero biases map that row to a zero embedding
-    data = tmp_path / "three_features.csv"
-    assert main(["gen-data", "--classes", "2", "--dim", "3", "--per-class", "30",
-                 "--labels-per-class", "2", "--test-fraction", "0.5",
-                 "--out", str(data)]) == 0
+    # labeled rows are not augmented and the fresh encoder's biases are zero,
+    # so an all-zero labeled row embeds at norm 0 in step 0
+    data = tmp_path / "zero_labeled_row.csv"
+    assert main([*THREE_FEATURES, "--out", str(data)]) == 0
+    ds = load_csv(data)
+    ds.features[np.flatnonzero(ds.split == "labeled")[0]] = 0.0
+    save_csv(ds, data)
     capsys.readouterr()
     assert main(["train", "--data", str(data), "--preset", "desk",
-                 "--set", "train.epochs=1", "--set", "train.steps_per_epoch=2",
-                 "--seed", "3"]) == 3
-    assert re.fullmatch(r"error: embedding row \d+ has zero norm\n", capsys.readouterr().err)
+                 "--set", "train.epochs=1", "--set", "train.steps_per_epoch=2"]) == 3
+    assert re.fullmatch(r"error: embedding row [0-7] has zero norm\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_train_three_features_keeps_a_coordinate_of_every_strong_view(tmp_path, capsys,
+                                                                      seed):
+    # with 3 features, dropout alone would zero a whole strong row in step 0 at
+    # these seeds; the row's largest-uniform coordinate survives, so they finish
+    data = tmp_path / "three_features.csv"
+    assert main([*THREE_FEATURES, "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--preset", "desk",
+                 "--seed", str(seed)]) == 0
+    assert "finished step 511" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, message", [
+    ("aug.strong_dropout=1.0", "strong_dropout must be in [0, 1), got 1.0"),
+    ("aug.weak_sigma=-1", "weak_sigma and strong_sigma must be >= 0"),
+    ("aug.weak_sigma=0.6", "weak_sigma 0.6 exceeds strong_sigma 0.5"),
+])
+def test_train_bad_augmentation_names_its_config_key(tmp_path, capsys, key, message):
+    rc = main(["train", "--data", str(tmp_path / "missing.csv"), "--set", key])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --set: {message}\n"
 
 
 def test_train_config_file_is_read(data_csv, tmp_path):

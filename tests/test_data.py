@@ -176,23 +176,22 @@ def test_dataset_names_the_row_of_each_rule(rule):
 
 
 def test_policy_validation():
-    AugmentationPolicy(weak_noise_sigma=0.0, strong_noise_sigma=0.0,
-                       strong_dropout_prob=0.0)
-    AugmentationPolicy(strong_dropout_prob=np.nextafter(1.0, 0.0))
+    AugmentationPolicy(weak_sigma=0.0, strong_sigma=0.0,
+                       strong_dropout=0.0)
+    AugmentationPolicy(strong_dropout=np.nextafter(1.0, 0.0))
     with pytest.raises(ValueError):
-        AugmentationPolicy(weak_noise_sigma=0.5, strong_noise_sigma=0.1)
-    with pytest.raises(ValueError):
-        AugmentationPolicy(strong_dropout_prob=1.5)
-    # at 1 every strong view is all zero, and a fresh encoder embeds it at norm 0
-    with pytest.raises(ValueError, match=r"^strong_dropout_prob must be in \[0, 1\), got 1\.0$"):
-        AugmentationPolicy(strong_dropout_prob=1.0)
-    with pytest.raises(ValueError):
-        AugmentationPolicy(weak_noise_sigma=-0.1)
+        AugmentationPolicy(strong_dropout=1.5)
+    with pytest.raises(ValueError, match=r"^strong_dropout must be in \[0, 1\), got 1\.0$"):
+        AugmentationPolicy(strong_dropout=1.0)
+    with pytest.raises(ValueError, match=r"^weak_sigma and strong_sigma must be >= 0$"):
+        AugmentationPolicy(weak_sigma=-0.1)
+    with pytest.raises(ValueError, match=r"^weak_sigma 0\.5 exceeds strong_sigma 0\.1$"):
+        AugmentationPolicy(weak_sigma=0.5, strong_sigma=0.1)
 
 
 def test_augment_identity_when_all_knobs_zero():
-    policy = AugmentationPolicy(weak_noise_sigma=0.0, strong_noise_sigma=0.0,
-                                strong_dropout_prob=0.0)
+    policy = AugmentationPolicy(weak_sigma=0.0, strong_sigma=0.0,
+                                strong_dropout=0.0)
     v = np.array([1.0, -2.0, 3.0])
     rng = np.random.default_rng(0)
     assert np.array_equal(augment(v, policy, "weak", rng), v)
@@ -200,8 +199,8 @@ def test_augment_identity_when_all_knobs_zero():
 
 
 def test_augment_dropout_zeroes_the_drawn_coordinates():
-    policy = AugmentationPolicy(weak_noise_sigma=0.0, strong_noise_sigma=0.0,
-                                strong_dropout_prob=0.5)
+    policy = AugmentationPolicy(weak_sigma=0.0, strong_sigma=0.0,
+                                strong_dropout=0.5)
     v = np.arange(1.0, 41.0)
     out = augment(v, policy, "strong", np.random.default_rng(1))
     rng = np.random.default_rng(1)
@@ -209,6 +208,22 @@ def test_augment_dropout_zeroes_the_drawn_coordinates():
     dropped = rng.random(40) < 0.5
     assert 0 < dropped.sum() < 40
     assert np.array_equal(out, np.where(dropped, 0.0, v))
+
+
+def test_augment_strong_row_keeps_its_largest_uniform_coordinate():
+    # near p = 1 a row's every uniform is below p; only the coordinate with
+    # the row's largest uniform survives, so no strong row is all zero
+    p = np.nextafter(1.0, 0.0)
+    policy = AugmentationPolicy(weak_sigma=0.0, strong_sigma=0.0, strong_dropout=p)
+    block = np.arange(1.0, 21.0).reshape(4, 5)
+    out = augment(block, policy, "strong", np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    rng.normal(0.0, 0.0, size=(4, 5))
+    kept = rng.random((4, 5)).argmax(axis=1)
+    assert np.array_equal(out, np.where(np.eye(5, dtype=bool)[kept], block, 0.0))
+    # a 1-feature row is never dropped
+    one = augment(np.ones((3, 1)), policy, "strong", np.random.default_rng(7))
+    assert np.array_equal(one, np.ones((3, 1)))
 
 
 def test_augment_replays_exactly_under_same_stream():
@@ -219,13 +234,13 @@ def test_augment_replays_exactly_under_same_stream():
     assert np.array_equal(a, b)
     # weak view consumes only the noise draw
     rng = np.random.default_rng(9)
-    expected = v + rng.normal(0.0, policy.weak_noise_sigma, size=5)
+    expected = v + rng.normal(0.0, policy.weak_sigma, size=5)
     assert np.array_equal(augment(v, policy, "weak", np.random.default_rng(9)),
                           expected)
 
 
 def test_augment_weak_noise_is_unbiased():
-    policy = AugmentationPolicy(weak_noise_sigma=0.3, strong_noise_sigma=0.5)
+    policy = AugmentationPolicy(weak_sigma=0.3, strong_sigma=0.5)
     v = np.array([0.5, -1.0, 2.0, 0.0])
     rng = np.random.default_rng(3)
     n = 10000
@@ -250,19 +265,35 @@ def test_augment_leaves_input_untouched():
     assert np.array_equal(v, keep)
 
 
-@pytest.mark.parametrize("kind", ["weak", "strong"])
 @pytest.mark.parametrize("n", [0, 1, 7])
-def test_augment_block_equals_one_call_per_row(n, kind):
+def test_augment_weak_block_equals_one_call_per_row(n):
     policy = AugmentationPolicy()
     block = np.random.default_rng(5).normal(size=(n, 6))
     keep = block.copy()
     rng_block, rng_rows = np.random.default_rng(11), np.random.default_rng(11)
-    out = augment(block, policy, kind, rng_block)
-    rows = np.array([augment(u, policy, kind, rng_rows) for u in block]).reshape(n, 6)
+    out = augment(block, policy, "weak", rng_block)
+    rows = np.array([augment(u, policy, "weak", rng_rows) for u in block]).reshape(n, 6)
     assert out.shape == (n, 6)
     assert out.tobytes() == rows.tobytes()  # bit for bit, signed zeros too
     assert rng_block.bit_generator.state == rng_rows.bit_generator.state
     assert np.array_equal(block, keep)
+
+
+@pytest.mark.parametrize("shape", [(0, 6), (1, 6), (7, 6), (6,)])
+def test_augment_strong_replays_noise_block_then_uniform_block(shape):
+    policy = AugmentationPolicy()
+    v = np.random.default_rng(5).normal(size=shape)
+    keep = v.copy()
+    rng_call, rng_replay = np.random.default_rng(11), np.random.default_rng(11)
+    out = augment(v, policy, "strong", rng_call)
+    replay = v + rng_replay.normal(0.0, policy.strong_sigma, size=shape)
+    uniforms = rng_replay.random(shape)
+    dropped = (uniforms < policy.strong_dropout) & (uniforms < uniforms.max(axis=-1, keepdims=True))
+    replay[dropped] = 0.0
+    assert out.shape == shape
+    assert out.tobytes() == replay.tobytes()  # bit for bit, signed zeros too
+    assert rng_call.bit_generator.state == rng_replay.bit_generator.state
+    assert np.array_equal(v, keep)
 
 
 def test_augment_rejects_scalar_and_3d_input():

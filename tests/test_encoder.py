@@ -15,7 +15,7 @@ from sscent import (
     ssc_e_loss,
     update_prototypes,
 )
-from sscent.encoder import ACTIVATIONS, StaleCacheError, sgd_momentum_step
+from sscent.encoder import _BACKWARD_ROWS, ACTIVATIONS, StaleCacheError, sgd_momentum_step
 
 from conftest import unit_rows
 
@@ -156,6 +156,54 @@ def test_backward_rejects_stale_cache():
     enc.apply_gradients(grads, state)
     with pytest.raises(StaleCacheError):
         enc.backward(cache, np.ones_like(z))
+
+
+def _single_pass_backward(enc, cache, g):
+    """The backward over every row at once, without row blocks."""
+    z = cache.embeddings
+    upstream = (g - (g * z).sum(axis=1, keepdims=True) * z) / cache.norms[:, None]
+    act_grad = ACTIVATIONS[enc.config.activation][1]
+    grads = [None] * (2 * enc.num_layers)
+    for layer in range(enc.num_layers - 1, -1, -1):
+        grads[2 * layer] = cache.activations[layer].T @ upstream
+        grads[2 * layer + 1] = upstream.sum(axis=0)
+        if layer > 0:
+            upstream = (upstream @ enc.weights[layer].T) * act_grad(cache.activations[layer])
+    return grads
+
+
+def paper_shaped_encoder(seed=0):
+    return MlpEncoder(EncoderConfig(input_dim=8, hidden_dims=(64, 64), embed_dim=16),
+                      np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 64, _BACKWARD_ROWS])
+def test_backward_of_one_block_is_the_single_pass_bit_for_bit(rows):
+    enc = paper_shaped_encoder()
+    rng = np.random.default_rng(rows)
+    z, cache = enc.forward(rng.normal(size=(rows, 8)))
+    g = rng.normal(size=z.shape)
+    for got, want in zip(enc.backward(cache, g), _single_pass_backward(enc, cache, g)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [_BACKWARD_ROWS + 1, 960])
+def test_backward_over_many_rows_is_the_sum_of_its_blocks(rows):
+    enc = paper_shaped_encoder()
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(rows, 8))
+    z, cache = enc.forward(x)
+    g = rng.normal(size=z.shape)
+    total = enc.backward(cache, g)
+    parts = []
+    for start in range(0, rows, _BACKWARD_ROWS):
+        block = slice(start, start + _BACKWARD_ROWS)
+        parts.append(enc.backward(enc.forward(x[block])[1], g[block]))
+    for got, *blocks in zip(total, *parts):
+        assert np.max(np.abs(got - sum(blocks))) <= 1e-12
+    # the single pass over every row differs from the blocked sum by rounding only
+    for got, want in zip(total, _single_pass_backward(enc, cache, g)):
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_backward_matches_finite_differences_end_to_end():

@@ -17,7 +17,8 @@ from sscent import (
     NonFiniteLossError,
     TrainConfig,
     assemble_batch,
-    augment,
+    assign_pseudo_labels,
+    class_probabilities,
     generate_gaussian_clusters,
     init_train_state,
     split_dataset,
@@ -270,13 +271,14 @@ def test_assemble_batch_size_and_blocks():
     ds = tiny_dataset()
     cfg = tiny_config(labeled_batch_size=2, mu=1)
     state, gate, policy = make_step_inputs(cfg, ds)
-    batch, decisions, caches = assemble_batch(
+    batch, decisions, cache = assemble_batch(
         state, cfg, gate, policy, ds.labeled_features(), ds.labeled_labels(),
         ds.unlabeled_features(), entropy_gate_enabled=True)
     # N = B + 2 mu B + K = 2 + 4 + 3
     assert batch.size == 9
     assert len(decisions) == 2
-    assert len(caches) == 3
+    # one cache for the encoded rows [labeled | strong 1 | strong 2]
+    assert np.array_equal(cache.embeddings, batch.embeddings[:6])
     # labeled block and prototype block carry weight 1
     assert np.all(batch.weights[:2] == 1.0)
     assert np.all(batch.weights[-3:] == 1.0)
@@ -294,14 +296,16 @@ def test_assemble_batch_size_and_blocks():
 
 def test_assemble_batch_matches_scripted_replay():
     # replays the documented draw order (labeled idx, unlabeled idx, weak
-    # loop, strong loop x2) on a cloned state and checks every block,
-    # including that labeled rows reach the encoder un-augmented
+    # block, then each strong view's noise block and uniform block) and the
+    # two forwards (weak alone, then [labeled | strong 1 | strong 2]) on a
+    # cloned state, and checks every block, including that labeled rows reach
+    # the encoder un-augmented
     ds = tiny_dataset()
     cfg = tiny_config(labeled_batch_size=3, mu=2)
     state, gate, policy = make_step_inputs(cfg, ds)
     clone = copy.deepcopy(state)
 
-    batch, decisions, _ = assemble_batch(
+    batch, decisions, cache = assemble_batch(
         state, cfg, gate, policy, ds.labeled_features(), ds.labeled_labels(),
         ds.unlabeled_features(), entropy_gate_enabled=True)
 
@@ -313,18 +317,24 @@ def test_assemble_batch_matches_scripted_replay():
     unl_idx = rng.choice(unl_x.shape[0], size=mu_b,
                          replace=unl_x.shape[0] < mu_b)
     chosen = unl_x[unl_idx]
-    _weak = np.stack([augment(u, policy, "weak", rng) for u in chosen])
-    strong1 = np.stack([augment(u, policy, "strong", rng) for u in chosen])
-    strong2 = np.stack([augment(u, policy, "strong", rng) for u in chosen])
+    weak = chosen + rng.normal(0.0, policy.weak_sigma, size=chosen.shape)
+    strong = []
+    for _ in range(2):
+        view = chosen + rng.normal(0.0, policy.strong_sigma, size=chosen.shape)
+        uniforms = rng.random(chosen.shape)
+        view[(uniforms < policy.strong_dropout)
+             & (uniforms < uniforms.max(axis=1, keepdims=True))] = 0.0
+        strong.append(view)
 
-    z_lab, _ = clone.encoder.forward(lab_x[lab_idx])
-    z_s1, _ = clone.encoder.forward(strong1)
-    z_s2, _ = clone.encoder.forward(strong2)
+    z_weak, _ = clone.encoder.forward(weak)
+    z, _ = clone.encoder.forward(np.vstack([lab_x[lab_idx], *strong]))
 
-    assert np.array_equal(batch.embeddings[:b], z_lab)
-    assert np.array_equal(batch.embeddings[b:b + mu_b], z_s1)
-    assert np.array_equal(batch.embeddings[b + mu_b:b + 2 * mu_b], z_s2)
+    assert np.array_equal(batch.embeddings[:b + 2 * mu_b], z)
+    assert np.array_equal(cache.activations[0], np.vstack([lab_x[lab_idx], *strong]))
     assert np.array_equal(batch.labels[:b], ds.labeled_labels()[lab_idx])
+    probs = class_probabilities(z_weak, clone.bank, cfg.t_prime)
+    assert np.array_equal(decisions, assign_pseudo_labels(probs, gate, True))
+    assert rng.bit_generator.state == state.rng.bit_generator.state
 
 
 def test_assemble_batch_all_rejected_when_nothing_confident():
@@ -393,18 +403,13 @@ def test_train_step_first_update_is_plain_gradient_step():
     train_step(state, cfg, gate, policy, ds.labeled_features(),
                ds.labeled_labels(), ds.unlabeled_features(), t_total=8)
 
-    batch, _, caches = assemble_batch(
+    batch, _, cache = assemble_batch(
         clone, cfg, gate, policy, ds.labeled_features(), ds.labeled_labels(),
         ds.unlabeled_features(), entropy_gate_enabled=True)
     from sscent import ssc_e_loss
     res = ssc_e_loss(batch)
     b, mu_b = cfg.labeled_batch_size, cfg.mu * cfg.labeled_batch_size
-    blocks = (res.grad[:b], res.grad[b:b + mu_b],
-              res.grad[b + mu_b:b + 2 * mu_b])
-    grads = None
-    for cache, block in zip(caches, blocks):
-        part = clone.encoder.backward(cache, block)
-        grads = part if grads is None else [a + p for a, p in zip(grads, part)]
+    grads = clone.encoder.backward(cache, res.grad[:b + 2 * mu_b])
     for p_new, p_old, g in zip(state.encoder.parameters(),
                                clone.encoder.parameters(), grads):
         assert np.array_equal(p_new, p_old - 0.02 * g)
