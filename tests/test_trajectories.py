@@ -22,32 +22,32 @@ from sscent import TrainConfig, generate_gaussian_clusters, split_dataset, train
 
 RECORDED = {
     (0, "ssc"): {
-        "test_acc": [0.986, 0.98, 0.985, 0.988, 0.987, 0.984, 0.986, 0.987],
-        "counts_sha256": "5f70a7573ab22343b8743a9a94847886858600ac7627fc97e8773a7296466ae9",
-        "loss": [6.3402243712224395, 3.9733450553912415, 4.006508565167218,
-                 3.9079003954338547, 3.966552855518669, 3.9834774585414743,
-                 3.872000776353024, 3.844258903198117],
+        "test_acc": [0.971, 0.988, 0.988, 0.987, 0.985, 0.983, 0.988, 0.986],
+        "counts_sha256": "1d82651ae65cb7be41bb4a520db2ffac0912b8742d9cbfb92f9ed9819047eedd",
+        "loss": [6.055054844118308, 4.023307984072282, 3.9210576401606727,
+                 3.98982514814917, 3.889670532523398, 3.960448879294447,
+                 3.945849368714198, 3.929682854952439],
     },
     (0, "ssc-e"): {
-        "test_acc": [0.981, 0.991, 0.988, 0.991, 0.989, 0.989, 0.989, 0.989],
-        "counts_sha256": "e9ce7aba3c52a6afdf47b0084c631f83207c6eed0e8915cc451ac77f8f370b26",
-        "loss": [6.487259168970503, 4.016625567846206, 4.025201669504557,
-                 3.9222118625685587, 3.985339944059156, 4.083537531963519,
-                 3.934643233154399, 3.8348065156946003],
+        "test_acc": [0.964, 0.988, 0.99, 0.991, 0.988, 0.989, 0.991, 0.987],
+        "counts_sha256": "d20ab0e6eb9a3af0e2f7ec7982fd7c07d5f4e7e71525ba5dbb414f676d8f49cc",
+        "loss": [6.349766475838958, 3.9454148586968367, 3.980685270235208,
+                 3.99367812595782, 3.9244701409650498, 3.967233745848518,
+                 3.957992977683714, 3.9321726249741196],
     },
     (25, "ssc"): {
-        "test_acc": [0.942, 0.973, 0.971, 0.974, 0.971, 0.972, 0.975, 0.974],
-        "counts_sha256": "4810686359873249377e35da5255b690ca18ad1d5ce4746ea393877558f627e2",
-        "loss": [5.646964552752339, 4.138364488507682, 3.8539951227463143,
-                 3.9523347843555316, 4.033940320570738, 3.876529575001008,
-                 3.8784505872147443, 4.029017695662475],
+        "test_acc": [0.946, 0.971, 0.97, 0.975, 0.971, 0.976, 0.974, 0.971],
+        "counts_sha256": "756250ae76d60458ad1ec9c4cf1a18dc67f4ee19eda9bfb0baf519c3856a242f",
+        "loss": [6.145742492165237, 3.894366486256253, 3.915602135331453,
+                 4.003856034437969, 3.9009244875459212, 3.975648346969356,
+                 4.108362625299017, 3.846471163159985],
     },
     (25, "ssc-e"): {
-        "test_acc": [0.359, 0.374, 0.376, 0.413, 0.377, 0.392, 0.397, 0.395],
-        "counts_sha256": "c1f9c7e42485cb1dcd8b1a2609494f18cee3961a9b88c087205913eab6341dda",
-        "loss": [5.915515337421262, 4.252330859674914, 4.00804044906519,
-                 4.097823722531509, 4.1550911722873405, 3.977717956585185,
-                 3.9493466538579383, 4.083789633050606],
+        "test_acc": [0.363, 0.376, 0.388, 0.42, 0.422, 0.47, 0.426, 0.556],
+        "counts_sha256": "68a59ea999637d9970e817843c782a9e68da55a5bd5a4f1f990627c5b40a484c",
+        "loss": [6.351375728528644, 4.096508265627508, 4.070430030714255,
+                 4.156768584406044, 4.071883258989838, 4.0755447139662975,
+                 4.287522512036463, 3.931294639097054],
     },
 }
 
@@ -85,33 +85,33 @@ SHAPES = {
 
 RECORDED_SHAPES = {
     ("paper", 0): {
-        "test_acc": [0.454, 0.51],
-        "counts_sha256": "e529eb06f8d12273d60046dc4c83542af033b362744433efb9b29217c1f7c64b",
-        "loss": [8.249272989905078, 6.540592363614878],
+        "test_acc": [0.455, 0.496],
+        "counts_sha256": "21c4d732541141e6b58559f4c454992e3a41e8f5b7e16026b990d63b2ce21ebb",
+        "loss": [8.042770174907373, 6.417007784659073],
     },
     ("paper", 25): {
-        "test_acc": [0.334, 0.334],
-        "counts_sha256": "606224fdda2070198a762ff4d20530d519e88ae06d5da6993994bb80766c9144",
-        "loss": [8.432272655415222, 6.948200250314423],
+        "test_acc": [0.337, 0.334],
+        "counts_sha256": "09b0c3cd644f8e6ce5370ccad36afbde11c45f23caa978d39ad0b0aea0ebbb90",
+        "loss": [8.498362649875274, 6.921304598352645],
     },
     ("desk-positives-only", 0): {
-        "test_acc": [0.981, 0.99, 0.988, 0.99, 0.989, 0.985, 0.988, 0.988],
-        "counts_sha256": "d1da7876c3dbd3b633172777af32191c513bbeda3d6bb43045708e8213a7cc8b",
-        "loss": [6.361723767895937, 3.9907062349847675, 4.0200222940923975,
-                 3.910017556298332, 3.971585162338216, 4.04437923682953,
-                 3.914056176397579, 3.8492710329221973],
+        "test_acc": [0.972, 0.988, 0.99, 0.991, 0.988, 0.988, 0.99, 0.987],
+        "counts_sha256": "df1ab83bd4cdc903bf13bd3049c42c5229b8f6c14f6227aac74a72fa5cd7b4b4",
+        "loss": [6.1901072210326165, 3.916207665243435, 3.9683281450878285,
+                 3.9841311245265567, 3.9043133733162216, 3.969329458303237,
+                 3.9632508810622378, 3.9274566766702788],
     },
     ("small-long", 0): {
         "test_acc": [0.884, 0.95, 0.926, 0.953],
         "counts_sha256": "a32edb7562e591fd3d18f64308a36a17545936b5edb21793364c501af82f2dac",
-        "loss": [5.1594424100692935, 0.7304915741349916, 0.06349918359028088,
-                 0.5031757554698729],
+        "loss": [5.159442410069294, 0.7304915741201283, 0.0634991837837324,
+                 0.5031757565989563],
     },
     ("small-long", 25): {
         "test_acc": [0.627, 0.633, 0.663, 0.677],
         "counts_sha256": "3d14a4d1a0e8de789d616065d4ed5eeb28330354d7417f2aa106fc0801511d3c",
-        "loss": [1.5774555063288562, 1.1585124130148456, 0.7204640628145167,
-                 0.7056981649820784],
+        "loss": [1.5774555063288562, 1.158512413018826, 0.7204640627195015,
+                 0.7056925384545153],
     },
 }
 
