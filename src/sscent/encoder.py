@@ -34,7 +34,7 @@ __all__ = [
 
 
 # rows per block of `MlpEncoder.backward`; one pass over the 960 encoded rows
-# of a paper-shaped step holds more memory at once and is no faster
+# of a paper-shaped step holds twice the temporaries of 448-row blocks
 _BACKWARD_ROWS = 448
 
 

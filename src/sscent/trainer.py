@@ -481,7 +481,7 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
 
     Draws labeled indices, unlabeled indices, then the weak, first-strong
     and second-strong views of the unlabeled block, one `augment` call each.
-    Encodes the weak view alone, then [labeled | strong 1 | strong 2] at once.
+    Encodes [labeled | strong 1 | strong 2] at once, then the weak view alone.
 
     Returns (batch, decisions, cache): the decision records of the
     unlabeled samples in batch order, and the forward cache of the batch's
@@ -496,8 +496,8 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     strong1 = augment(chosen, policy, "strong", rng)
     strong2 = augment(chosen, policy, "strong", rng)
 
-    z_weak, _ = state.encoder.forward(weak)
     z, cache = state.encoder.forward(np.vstack([labeled_x[lab_idx], strong1, strong2]))
+    z_weak, _ = state.encoder.forward(weak)
 
     probs = class_probabilities(z_weak, state.bank, config.t_prime)
     decisions = assign_pseudo_labels(probs, gate, entropy_gate_enabled)

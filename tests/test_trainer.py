@@ -297,7 +297,7 @@ def test_assemble_batch_size_and_blocks():
 def test_assemble_batch_matches_scripted_replay():
     # replays the documented draw order (labeled idx, unlabeled idx, weak
     # block, then each strong view's noise block and uniform block) and the
-    # two forwards (weak alone, then [labeled | strong 1 | strong 2]) on a
+    # two forwards ([labeled | strong 1 | strong 2], then weak alone) on a
     # cloned state, and checks every block, including that labeled rows reach
     # the encoder un-augmented
     ds = tiny_dataset()
@@ -326,8 +326,8 @@ def test_assemble_batch_matches_scripted_replay():
              & (uniforms < uniforms.max(axis=1, keepdims=True))] = 0.0
         strong.append(view)
 
-    z_weak, _ = clone.encoder.forward(weak)
     z, _ = clone.encoder.forward(np.vstack([lab_x[lab_idx], *strong]))
+    z_weak, _ = clone.encoder.forward(weak)
 
     assert np.array_equal(batch.embeddings[:b + 2 * mu_b], z)
     assert np.array_equal(cache.activations[0], np.vstack([lab_x[lab_idx], *strong]))
