@@ -4,7 +4,8 @@ Subcommands: gen-data, train, eval, gradcheck, gate-sim, compare. Every run
 prints its resolved configuration, and every file artifact embeds the same lines
 as `# ` comments so it is self-describing. Exit codes: 0 success, 1 validation
 or config error, 2 IO or file-format error, 3 numerical failure (non-finite
-loss, a zero-norm embedding or prototype, gradient check over tolerance).
+loss, an embedding or prototype row of zero or non-finite norm, gradient check
+over tolerance).
 """
 
 from __future__ import annotations
@@ -274,6 +275,8 @@ def _end_to_end_error(variant: str, eps: float, rng: np.random.Generator) -> flo
 
 def cmd_gradcheck(args) -> int:
     _echo(_flag_lines("gradcheck", args))
+    if not 0 < args.tol < np.inf:  # NaN fails too: `worst > nan` would pass every run
+        raise ValueError(f"need a finite --tol > 0, got {args.tol}")
     variants = METHODS if args.variant == "all" else (args.variant,)
     rng = np.random.default_rng(args.seed)
     failed = False
@@ -327,6 +330,8 @@ def cmd_gate_sim(args) -> int:
     if probs is None:
         if args.samples < 1:
             raise ValueError(f"need --samples >= 1, got {args.samples}")
+        if not 0 < args.alpha < np.inf:
+            raise ValueError(f"need a finite --alpha > 0, got {args.alpha}")
         rng = np.random.default_rng(args.seed)
         probs = rng.dirichlet(np.full(args.classes, args.alpha), size=args.samples)
     out_lines = [f"# {c}" for c in lines]
@@ -406,7 +411,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (NonFiniteLossError, FloatingPointError) as exc:  # the latter: a zero-norm row
+    except (NonFiniteLossError, FloatingPointError) as exc:  # the latter: a bad row norm
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NonFiniteLossError):
             _dump_batch(exc.batch, sys.stderr)

@@ -158,10 +158,10 @@ def generate_gaussian_clusters(num_classes: int, dim: int, per_class: int,
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     if dim < 1 or per_class < 1:
         raise ValueError(f"dim and per_class must be >= 1, got {dim}, {per_class}")
-    if cluster_sigma < 0:
-        raise ValueError(f"cluster_sigma must be >= 0, got {cluster_sigma}")
-    if separation <= 0:
-        raise ValueError(f"separation must be > 0, got {separation}")
+    if not 0 <= cluster_sigma < np.inf:  # NaN fails too
+        raise ValueError(f"cluster_sigma must be finite and >= 0, got {cluster_sigma}")
+    if not 0 < separation < np.inf:
+        raise ValueError(f"separation must be finite and > 0, got {separation}")
     rng = np.random.default_rng(seed)
     means = normalize_rows(rng.normal(size=(num_classes, dim)), "class mean")[0] * separation
     blocks = [means[c] + rng.normal(0.0, cluster_sigma, size=(per_class, dim))

@@ -44,11 +44,16 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
+@np.errstate(over="ignore")  # squares that overflow give an inf norm, refused below
 def normalize_rows(rows: np.ndarray, name: str):
-    """(rows / norms, norms); FloatingPointError names the first zero-norm row."""
+    """(rows / norms, norms); FloatingPointError names the first row whose
+    norm is zero or not finite (a NaN row, or one whose squares overflow)."""
     norms = row_norms(rows)
-    if (norms < 1e-150).any():
-        raise FloatingPointError(f"{name} row {int(np.argmax(norms < 1e-150))} has zero norm")
+    # a NaN norm carries through min and max and fails both comparisons
+    if not (norms.min(initial=np.inf) >= 1e-150 and norms.max(initial=0.0) < np.inf):
+        row = int(np.argmax(~((norms >= 1e-150) & (norms < np.inf))))
+        problem = "zero norm" if norms[row] < 1e-150 else "a non-finite norm"
+        raise FloatingPointError(f"{name} row {row} has {problem}")
     return rows / norms[:, None], norms
 
 

@@ -16,8 +16,10 @@ then the noise and dropout blocks of strong view 1, then 2 (see `augment`).
 from __future__ import annotations
 
 import dataclasses
+import errno
 import math
 import operator
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,54 +76,53 @@ class NonFiniteLossError(RuntimeError):
         self.batch = batch
 
 
+def _key(key: str, default, least=None):
+    """A TrainConfig field with config-file key `key`; `least` is the lower
+    bound TrainConfig checks itself (None: a component's constructor checks it)."""
+    return dataclasses.field(default=default, metadata={"key": key, "least": least})
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Full run configuration; defaults are the reference settings."""
+    """Full run configuration; defaults are the reference settings. Field
+    order is the order of the config echo."""
 
-    labeled_batch_size: int = 64
-    mu: int = 7
-    temperature: float = 0.1
-    eta0: float = 0.03
-    momentum: float = 0.9
-    epochs: int = 256
-    steps_per_epoch: int = 1024
-    seed: int = 0
-    method: str = "ssc-e"
-    eval_every: int = 0
-    checkpoint_every: int = 0
-    t_prime: float = 0.1
-    tau: float = 0.95
-    tau_ent: float = 0.4
-    w_min: float = 0.2
-    lambda_reject: float = 0.2
-    gate_enabled: bool = True
-    gate_cutoff_fraction: float = 0.78125
-    positives_only: bool = False
-    hidden_dims: tuple = (64, 64)
-    embed_dim: int = 16
-    activation: str = "tanh"
-    weak_sigma: float = 0.1
-    strong_sigma: float = 0.5
-    strong_dropout: float = 0.2
+    labeled_batch_size: int = _key("train.labeled_batch_size", 64, least=1)
+    mu: int = _key("train.mu", 7, least=1)
+    temperature: float = _key("train.temperature", 0.1)
+    eta0: float = _key("train.eta0", 0.03, least=0)
+    momentum: float = _key("train.momentum", 0.9)
+    epochs: int = _key("train.epochs", 256, least=0)
+    steps_per_epoch: int = _key("train.steps_per_epoch", 1024, least=1)
+    seed: int = _key("train.seed", 0, least=0)
+    method: str = _key("train.method", "ssc-e")
+    eval_every: int = _key("train.eval_every", 0, least=0)
+    checkpoint_every: int = _key("train.checkpoint_every", 0, least=0)
+    t_prime: float = _key("gate.t_prime", 0.1)
+    tau: float = _key("gate.tau", 0.95)
+    tau_ent: float = _key("gate.tau_ent", 0.4)
+    w_min: float = _key("gate.w_min", 0.2)
+    lambda_reject: float = _key("gate.lambda_reject", 0.2)
+    gate_enabled: bool = _key("gate.enabled", True)
+    gate_cutoff_fraction: float = _key("gate.cutoff_fraction", 0.78125)
+    positives_only: bool = _key("gate.positives_only", False)
+    hidden_dims: tuple = _key("encoder.hidden_dims", (64, 64))
+    embed_dim: int = _key("encoder.embed_dim", 16)
+    activation: str = _key("encoder.activation", "tanh")
+    weak_sigma: float = _key("aug.weak_sigma", 0.1)
+    strong_sigma: float = _key("aug.strong_sigma", 0.5)
+    strong_dropout: float = _key("aug.strong_dropout", 0.2)
 
     def __post_init__(self):
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.labeled_batch_size < 1:
-            raise ConfigError(f"labeled_batch_size must be >= 1, got {self.labeled_batch_size}")
-        if self.mu < 1:
-            raise ConfigError(f"mu must be >= 1, got {self.mu}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.eta0 < 0:
-            raise ConfigError(f"eta0 must be >= 0, got {self.eta0}")
-        if self.epochs < 0 or self.steps_per_epoch < 1:
-            raise ConfigError("epochs must be >= 0 and steps_per_epoch >= 1")
+        for field in dataclasses.fields(self):
+            least, value = field.metadata["least"], getattr(self, field.name)
+            if least is not None and value < least:
+                raise ConfigError(f"{field.name} must be >= {least}, got {value}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.eval_every < 0 or self.checkpoint_every < 0:
-            raise ConfigError("eval_every and checkpoint_every must be >= 0")
         if not 0.0 < self.gate_cutoff_fraction <= 1.0:
             raise ConfigError(
                 f"gate_cutoff_fraction must be in (0, 1], got {self.gate_cutoff_fraction}")
@@ -129,13 +130,17 @@ class TrainConfig:
         try:
             check_temperature(self.temperature, "temperature")
             check_temperature(self.t_prime, "t_prime")
-            EncoderConfig(input_dim=1, hidden_dims=self.hidden_dims,
-                          embed_dim=self.embed_dim, activation=self.activation)
+            self.encoder(1)
             self.policy()
             self.gate(2)
             OptimizerState(self.momentum, 0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+    def encoder(self, input_dim: int) -> EncoderConfig:
+        """The encoder architecture these settings define for `input_dim` features."""
+        return EncoderConfig(input_dim=input_dim, hidden_dims=self.hidden_dims,
+                             embed_dim=self.embed_dim, activation=self.activation)
 
     def gate(self, num_classes: int) -> EntropyGate:
         """The pseudo-label rule these settings define for `num_classes` classes."""
@@ -176,34 +181,14 @@ def key_lines(values: dict, section: str = "") -> list:
     return lines
 
 
-# config-file key -> (TrainConfig field, parser); order defines echo order
-CONFIG_SCHEMA = {
-    "train.labeled_batch_size": ("labeled_batch_size", int),
-    "train.mu": ("mu", int),
-    "train.temperature": ("temperature", float),
-    "train.eta0": ("eta0", float),
-    "train.momentum": ("momentum", float),
-    "train.epochs": ("epochs", int),
-    "train.steps_per_epoch": ("steps_per_epoch", int),
-    "train.seed": ("seed", int),
-    "train.method": ("method", str),
-    "train.eval_every": ("eval_every", int),
-    "train.checkpoint_every": ("checkpoint_every", int),
-    "gate.t_prime": ("t_prime", float),
-    "gate.tau": ("tau", float),
-    "gate.tau_ent": ("tau_ent", float),
-    "gate.w_min": ("w_min", float),
-    "gate.lambda_reject": ("lambda_reject", float),
-    "gate.enabled": ("gate_enabled", _parse_bool),
-    "gate.cutoff_fraction": ("gate_cutoff_fraction", float),
-    "gate.positives_only": ("positives_only", _parse_bool),
-    "encoder.hidden_dims": ("hidden_dims", _parse_int_tuple),
-    "encoder.embed_dim": ("embed_dim", int),
-    "encoder.activation": ("activation", str),
-    "aug.weak_sigma": ("weak_sigma", float),
-    "aug.strong_sigma": ("strong_sigma", float),
-    "aug.strong_dropout": ("strong_dropout", float),
-}
+# a TrainConfig field's annotation -> the parser of its config-file value
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "tuple": _parse_int_tuple}
+
+# config-file key -> (TrainConfig field, parser), in field order; a field
+# annotation without a parser fails here, at import
+CONFIG_SCHEMA = {field.metadata["key"]: (field.name, _PARSERS[field.type])
+                 for field in dataclasses.fields(TrainConfig)}
 
 
 def parse_config_lines(lines, base: Optional[TrainConfig] = None,
@@ -420,11 +405,7 @@ def new_train_state(config: TrainConfig, input_dim: int, num_classes: int,
 
     Draw order: encoder layer weights in order, then prototype directions.
     """
-    enc_config = EncoderConfig(input_dim=input_dim,
-                               hidden_dims=config.hidden_dims,
-                               embed_dim=config.embed_dim,
-                               activation=config.activation)
-    encoder = MlpEncoder(enc_config, rng)
+    encoder = MlpEncoder(config.encoder(input_dim), rng)
     bank = PrototypeBank.random(num_classes, config.embed_dim, rng)
     opt = OptimizerState.for_params(encoder.parameters(), config.momentum)
     proto_opt = OptimizerState.for_params([bank.prototypes], config.momentum)
@@ -571,6 +552,15 @@ def _dataset_comment_lines(dataset: Dataset, labeled_y: np.ndarray) -> list:
     }, "data")
 
 
+def _check_output_path(path) -> None:
+    """Raise the OSError that writing `path` would: it is a directory, or
+    its directory does not exist."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), os.fspath(path))
+
+
 def train(config: TrainConfig, dataset: Dataset, state: Optional[TrainState] = None,
           metrics_path=None, checkpoint_path=None):
     """Run (or resume) a full training schedule.
@@ -580,7 +570,9 @@ def train(config: TrainConfig, dataset: Dataset, state: Optional[TrainState] = N
     and always at the end when a path is given. Passing a restored state
     continues its metric history, so the final CSV matches an
     uninterrupted run byte for byte; a dataset other than the one the
-    state was trained on raises ValueError before any step or write.
+    state was trained on raises ValueError before any step or write, and
+    a metrics or checkpoint path that is a directory, or whose directory
+    does not exist, raises that OSError then too.
 
     Returns (state, history): the history is state.history, whose rows
     read as StepMetrics.
@@ -592,6 +584,9 @@ def train(config: TrainConfig, dataset: Dataset, state: Optional[TrainState] = N
     test_y = dataset.test_labels()
     if labeled_x.shape[0] == 0 or unlabeled_x.shape[0] == 0 or test_x.shape[0] == 0:
         raise ValueError("training needs non-empty labeled, unlabeled, and test splits")
+    for path in (checkpoint_path, metrics_path):  # the checkpoint's .tmp sits beside it
+        if path is not None:
+            _check_output_path(path)
     comments = config_to_lines(config) + _dataset_comment_lines(dataset, labeled_y)
     if state is None:
         state = init_train_state(config, dataset)

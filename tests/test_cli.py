@@ -12,6 +12,7 @@ import shutil
 import numpy as np
 import pytest
 
+import sscent.trainer as trainer_mod
 from sscent import (
     TrainConfig,
     load_csv,
@@ -140,6 +141,17 @@ def test_gen_data_requires_out(capsys):
     assert "--out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--sigma", "nan", "cluster_sigma must be finite and >= 0, got nan"),
+    ("--separation", "inf", "separation must be finite and > 0, got inf"),
+])
+def test_gen_data_names_a_non_finite_spread(flag, value, message, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert main(["gen-data", flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_gen_data_hide_unlabeled_writes_minus_one(tmp_path):
     out = tmp_path / "hidden.csv"
     assert main(GEN_ARGS + ["--hide-unlabeled", "--out", str(out)]) == 0
@@ -224,7 +236,7 @@ def test_train_config_errors_name_their_source_once(data_csv, tmp_path, capsys):
     # the direct flags are the last config lines applied, from source `flags`
     assert main(["train", "--data", data_csv, *FAST_SET, "--epochs", "-1"]) == 1
     assert capsys.readouterr().err == (
-        "error: flags: epochs must be >= 0 and steps_per_epoch >= 1\n")  # no `<config>:`
+        "error: flags: epochs must be >= 0, got -1\n")  # no `<config>:`
     bad = tmp_path / "bad.cfg"
     bad.write_text("gate.tau = 2.0\n")
     assert main(["train", "--data", data_csv, "--config", str(bad)]) == 1
@@ -338,6 +350,31 @@ def test_train_desk_preset_runs(data_csv, tmp_path, capsys):
     _, rows = read_metrics(metrics)
     assert len(rows) == 2
     assert "finished step 1" in capsys.readouterr().out
+
+
+def test_train_overflowing_parameters_exit_three_naming_the_row(data_csv, capsys):
+    # at lr 1e200 the first prototype update overflows the rows' squared norms
+    assert main(["train", "--data", data_csv, "--preset", "desk",
+                 "--set", "train.eta0=1e200"]) == 3
+    assert capsys.readouterr().err == "error: prototype row 0 has a non-finite norm\n"
+
+
+@pytest.mark.parametrize("flag", ["--metrics-out", "--checkpoint-out"])
+def test_train_unwritable_output_is_an_io_error_before_any_step(data_csv, tmp_path, capsys,
+                                                                monkeypatch, flag):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before the output path was checked")
+
+    monkeypatch.setattr(trainer_mod, "train_step", no_step)
+    path = tmp_path / "absent" / "out"
+    assert main(["train", "--data", data_csv, *FAST_SET, flag, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "finished" not in out
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert main(["train", "--data", data_csv, *FAST_SET, flag, str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert "finished" not in out
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 THREE_FEATURES = ["gen-data", "--classes", "2", "--dim", "3", "--per-class", "30",
@@ -709,6 +746,15 @@ def test_gradcheck_impossible_tolerance_exits_three(capsys):
     assert "gradcheck FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_gradcheck_refuses_a_tolerance_that_is_not_finite_and_positive(tol, capsys):
+    # `worst > nan` is false, so --tol nan would pass every run
+    assert main(["gradcheck", f"--tol={tol}", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert "max_rel_err" not in out
+    assert err == f"error: need a finite --tol > 0, got {float(tol)}\n"
+
+
 # -------------------------------------------------------------- gate-sim
 
 
@@ -827,6 +873,12 @@ def test_gate_sim_class_count_gets_the_gate_message(classes, tmp_path, capsys):
 def test_gate_sim_needs_a_sample(capsys):
     assert main(["gate-sim", "--samples", "0"]) == 1
     assert capsys.readouterr().err == "error: need --samples >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("alpha", ["0", "nan"])
+def test_gate_sim_refuses_a_concentration_that_is_not_finite_and_positive(alpha, capsys):
+    assert main(["gate-sim", "--alpha", alpha]) == 1
+    assert capsys.readouterr().err == f"error: need a finite --alpha > 0, got {float(alpha)}\n"
 
 
 @pytest.mark.parametrize("argv", [["--tau", ""], ["--tau", ","], ["--tau-ent", ""]],

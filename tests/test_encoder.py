@@ -118,6 +118,14 @@ def test_forward_zero_input_row_with_zero_biases_is_a_zero_norm_error():
         enc.forward(x)
 
 
+def test_forward_overflowing_embedding_is_a_non_finite_norm_error():
+    # the last layer's outputs are finite, but their squares overflow to inf
+    enc = small_encoder()
+    enc.weights[-1][...] = 1e200
+    with pytest.raises(FloatingPointError, match=r"^embedding row 0 has a non-finite norm$"):
+        enc.forward(np.random.default_rng(6).normal(size=(3, 5)))
+
+
 # ---------------------------------------------------------------------------
 # backward pass
 
@@ -398,6 +406,15 @@ def test_update_prototypes_collapse_to_zero_is_a_zero_norm_error():
     g[1] = bank.prototypes[1]
     state = OptimizerState.for_params([bank.prototypes], momentum=0.0, lr=1.0)
     with pytest.raises(FloatingPointError, match=r"^prototype row 1 has zero norm$"):
+        update_prototypes(bank, g, state)
+
+
+def test_update_prototypes_at_an_overflowing_rate_is_a_non_finite_norm_error():
+    # at lr 1e200 every row's squared norm overflows; its rows would divide to zero
+    bank = PrototypeBank.random(3, 4, np.random.default_rng(39))
+    g = np.random.default_rng(40).normal(size=bank.prototypes.shape)
+    state = OptimizerState.for_params([bank.prototypes], momentum=0.9, lr=1e200)
+    with pytest.raises(FloatingPointError, match=r"^prototype row 0 has a non-finite norm$"):
         update_prototypes(bank, g, state)
 
 

@@ -14,7 +14,7 @@ from sscent import (
     assign_pseudo_labels,
     class_probabilities,
 )
-from sscent.pseudo import kind_counts
+from sscent.pseudo import kind_counts, normalize_rows, row_norms
 
 from conftest import unit_rows
 
@@ -47,6 +47,26 @@ def fixture_gate():
 
 # ---------------------------------------------------------------------------
 # prototype bank
+
+
+@pytest.mark.parametrize("bad, row, problem", [
+    ([[3.0, 4.0], [0.0, 0.0], [np.nan, 1.0]], 1, "zero norm"),
+    ([[3.0, 4.0], [np.nan, 1.0], [0.0, 0.0]], 1, "a non-finite norm"),
+    ([[3.0, 4.0], [1e200, 1.0]], 1, "a non-finite norm"),  # its squares overflow
+    ([[np.inf, 0.0]], 0, "a non-finite norm"),
+])
+def test_normalize_rows_names_the_first_row_without_a_usable_norm(bad, row, problem):
+    with pytest.raises(FloatingPointError, match=rf"^z row {row} has {problem}$"):
+        normalize_rows(np.array(bad), "z")
+
+
+def test_normalize_rows_keeps_the_bits_of_a_plain_division():
+    scales = [[1e-140], [1e-3], [1.0], [1e3], [1e140]]
+    rows = np.random.default_rng(41).normal(size=(5, 3)) * scales
+    unit, norms = normalize_rows(rows, "z")
+    assert np.array_equal(norms, row_norms(rows))
+    assert np.array_equal(unit, rows / row_norms(rows)[:, None])
+    assert normalize_rows(np.empty((0, 3)), "z")[0].shape == (0, 3)
 
 
 def test_bank_requires_unit_rows():

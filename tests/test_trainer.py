@@ -115,6 +115,23 @@ def test_a_negative_seed_is_named_with_its_value():
         tiny_config(seed=-1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(labeled_batch_size=0), "labeled_batch_size must be >= 1, got 0"),
+    (dict(mu=0), "mu must be >= 1, got 0"),
+    (dict(eta0=-1.0), "eta0 must be >= 0, got -1.0"),
+    (dict(epochs=-1), "epochs must be >= 0, got -1"),
+    (dict(steps_per_epoch=0), "steps_per_epoch must be >= 1, got 0"),
+    (dict(eval_every=-1), "eval_every must be >= 0, got -1"),
+    (dict(checkpoint_every=-1), "checkpoint_every must be >= 0, got -1"),
+    # two bad values: the earlier field is reported
+    (dict(checkpoint_every=-1, epochs=-2), "epochs must be >= 0, got -2"),
+], ids=lambda v: ",".join(v) if isinstance(v, dict) else None)
+def test_a_setting_below_its_bound_is_named_with_its_value(kwargs, message):
+    with pytest.raises(ConfigError) as err:
+        tiny_config(**kwargs)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("field", ["temperature", "t_prime"])
 def test_a_non_positive_temperature_is_named_with_its_value(field):
     with pytest.raises(ConfigError, match=rf"^{field} must be positive, got -0\.5$"):
@@ -165,6 +182,37 @@ def test_config_lines_round_trip():
     cfg = tiny_config(method="ssc", tau_ent=0.35, gate_enabled=False,
                       hidden_dims=(12, 6), eta0=0.007, positives_only=True)
     assert parse_config_lines(config_to_lines(cfg)) == cfg
+
+
+# every field away from its default, each value within TrainConfig's checks
+EVERY_FIELD_CHANGED = dict(
+    labeled_batch_size=3, mu=2, temperature=0.25, eta0=0.05, momentum=0.5,
+    epochs=2, steps_per_epoch=3, seed=11, method="ssc", eval_every=2,
+    checkpoint_every=4, t_prime=0.2, tau=0.9, tau_ent=0.5, w_min=0.3,
+    lambda_reject=0.1, gate_enabled=False, gate_cutoff_fraction=0.5,
+    positives_only=True, hidden_dims=(12, 6), embed_dim=5, activation="softplus",
+    weak_sigma=0.05, strong_sigma=0.4, strong_dropout=0.1)
+
+
+def test_every_field_declares_one_config_key_in_echo_order():
+    fields = dataclasses.fields(TrainConfig)
+    assert [f.name for f in fields] == list(EVERY_FIELD_CHANGED)
+    keys = [f.metadata["key"] for f in fields]
+    assert len(set(keys)) == len(keys)
+    for key in keys:
+        section, dot, name = key.partition(".")
+        assert section in {"train", "gate", "encoder", "aug"} and dot and name, key
+    assert [line.partition(" = ")[0] for line in config_to_lines(TrainConfig())] == keys
+    bounded = {f.name for f in fields if f.metadata["least"] is not None}
+    assert bounded == {"labeled_batch_size", "mu", "seed", "eta0", "epochs",
+                       "steps_per_epoch", "eval_every", "checkpoint_every"}
+    # one `key = value` line sets its field and nothing else
+    default, changed = TrainConfig(), TrainConfig(**EVERY_FIELD_CHANGED)
+    for field, line in zip(fields, config_to_lines(changed)):
+        cfg = parse_config_lines([line])
+        want = getattr(changed, field.name)
+        assert getattr(cfg, field.name) == want != getattr(default, field.name), line
+        assert dataclasses.replace(default, **{field.name: want}) == cfg, line
 
 
 def test_parse_config_file(tmp_path):
@@ -493,6 +541,22 @@ def test_train_refuses_a_state_trained_on_other_data(tmp_path):
         f"dataset has SHA-256 {b.sha256()}, checkpoint expects {a.sha256()}")
     assert state.step == 4
     assert not ckpt.exists() and not metrics.exists()
+
+
+@pytest.mark.parametrize("where", ["metrics-missing-dir", "metrics-is-dir",
+                                   "checkpoint-missing-dir", "checkpoint-is-dir"])
+def test_train_refuses_an_unwritable_output_before_its_first_step(tmp_path, where):
+    ds = tiny_dataset()
+    cfg = tiny_config()
+    state = init_train_state(cfg, ds)
+    name, _, problem = where.partition("-")
+    path = tmp_path / "absent" / "out" if problem == "missing-dir" else tmp_path
+    error = FileNotFoundError if problem == "missing-dir" else IsADirectoryError
+    with pytest.raises(error) as err:
+        train(cfg, ds, state=state, **{f"{name}_path": path})
+    assert err.value.filename == str(path)
+    assert state.step == 0 and len(state.history) == 0
+    assert list(tmp_path.iterdir()) == []  # no .tmp file beside the checkpoint either
 
 
 def test_train_history_follows_schedule_and_cadence():
