@@ -45,9 +45,9 @@ class CheckpointFormatError(ValueError):
 def _state_arrays(state: TrainState) -> dict:
     """Entry name -> live array, for every array a checkpoint stores, in file order."""
     arrays = {f"param_{i}": p for i, p in enumerate(state.encoder.parameters())}
-    arrays.update((f"vel_{i}", v) for i, v in enumerate(state.opt.velocities))
+    arrays.update((f"vel_{i}", v) for i, v in enumerate(state.velocities))
     arrays["prototypes"] = state.bank.prototypes
-    arrays["proto_vel"] = state.proto_opt.velocities[0]
+    arrays["proto_vel"] = state.proto_velocity
     return arrays
 
 

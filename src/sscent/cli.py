@@ -319,12 +319,12 @@ def _load_prob_rows(path) -> np.ndarray:
 
 
 def cmd_gate_sim(args) -> int:
-    lines = _flag_lines("gate_sim", args, input=args.input or "(synthetic)")
-    _echo(lines)
     probs = _load_prob_rows(args.input) if args.input else None
+    classes = args.classes if probs is None else probs.shape[1]
+    lines = _flag_lines("gate_sim", args, input=args.input or "(synthetic)", classes=classes)
+    _echo(lines)
     # the gates check the class count before any synthetic row is drawn
-    gates = [EntropyGate(num_classes=args.classes if probs is None else probs.shape[1],
-                         tau=tau, tau_ent=tau_ent, w_min=args.w_min,
+    gates = [EntropyGate(num_classes=classes, tau=tau, tau_ent=tau_ent, w_min=args.w_min,
                          lambda_reject=args.lambda_reject)
              for tau in args.tau for tau_ent in args.tau_ent]
     if probs is None:
@@ -333,7 +333,7 @@ def cmd_gate_sim(args) -> int:
         if not 0 < args.alpha < np.inf:
             raise ValueError(f"need a finite --alpha > 0, got {args.alpha}")
         rng = np.random.default_rng(args.seed)
-        probs = rng.dirichlet(np.full(args.classes, args.alpha), size=args.samples)
+        probs = rng.dirichlet(np.full(classes, args.alpha), size=args.samples)
     out_lines = [f"# {c}" for c in lines]
     out_lines.append(GATE_SIM_HEADER)
     n = len(probs)
@@ -380,10 +380,10 @@ def cmd_compare(args) -> int:
     entries.sort(key=lambda e: (e["method"], _numeric_aware(e["labels_per_class"]),
                                 _numeric_aware(e["seed"])))
     table = [(e["method"], e["labels_per_class"], e["seed"], e["acc"]) for e in entries]
-    groups = {}
+    groups = {}  # in the order of the sorted runs
     for e in entries:
         groups.setdefault((e["method"], e["labels_per_class"]), []).append(e["acc"])
-    for (method, lpc), accs in sorted(groups.items()):
+    for (method, lpc), accs in groups.items():
         table.append((method, lpc, "mean", float(np.mean(accs))))
     header = ("method", "labels_per_class", "seed", "final_test_acc")
     lines = csv_rows(list(zip(*table)))

@@ -14,7 +14,7 @@ normalized after each step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "EncoderConfig",
     "ForwardCache",
     "MlpEncoder",
-    "OptimizerState",
     "StaleCacheError",
     "sgd_momentum_step",
     "update_prototypes",
@@ -168,51 +167,33 @@ class MlpEncoder:
                     acc += part
         return total
 
-    def apply_gradients(self, grads: list[np.ndarray], state: "OptimizerState") -> None:
-        sgd_momentum_step(self.parameters(), grads, state)
+    def apply_gradients(self, grads: list[np.ndarray], velocities: list[np.ndarray],
+                        momentum: float, lr: float) -> None:
+        sgd_momentum_step(self.parameters(), grads, velocities, momentum, lr)
         self.mark_parameters_changed()
 
 
-@dataclass
-class OptimizerState:
-    """Velocity buffers for momentum SGD; lr is set per step by the schedule."""
-
-    momentum: float
-    lr: float
-    velocities: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-
-    @classmethod
-    def for_params(cls, params: list[np.ndarray], momentum: float,
-                   lr: float = 0.0) -> "OptimizerState":
-        return cls(momentum=momentum, lr=lr,
-                   velocities=[np.zeros_like(p) for p in params])
-
-
 def sgd_momentum_step(params: list[np.ndarray], grads: list[np.ndarray],
-                      state: OptimizerState) -> list[np.ndarray]:
+                      velocities: list[np.ndarray], momentum: float, lr: float) -> None:
     """In-place momentum SGD: v <- m*v + g, then p <- p - lr*v."""
-    if len(params) != len(grads) or len(params) != len(state.velocities):
+    if len(params) != len(grads) or len(params) != len(velocities):
         raise ValueError("params, grads, and velocities must align")
-    for p, g, v in zip(params, grads, state.velocities):
+    for p, g, v in zip(params, grads, velocities):
         if p.shape != g.shape or p.shape != v.shape:
             raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, vel {v.shape}")
-        v *= state.momentum
+        v *= momentum
         v += g
-        p -= state.lr * v
-    return params
+        p -= lr * v
 
 
-def update_prototypes(bank: PrototypeBank, grads, state: OptimizerState) -> PrototypeBank:
+def update_prototypes(bank: PrototypeBank, grads, velocity: np.ndarray, momentum: float,
+                      lr: float) -> None:
     """Momentum-SGD step on the prototype matrix, then re-unit-normalize rows.
 
     The rows are not renormalized at lr 0 or zero velocity. Subtracting 0 * v
     can change only a -0.0 coordinate (to +0.0), as for the encoder's weights.
     """
-    sgd_momentum_step([bank.prototypes], [np.asarray(grads, dtype=np.float64)], state)
-    if state.lr != 0.0 and state.velocities[0].any():
+    sgd_momentum_step([bank.prototypes], [np.asarray(grads, dtype=np.float64)], [velocity],
+                      momentum, lr)
+    if lr != 0.0 and velocity.any():
         bank.prototypes = normalize_rows(bank.prototypes, "prototype")[0]
-    return bank

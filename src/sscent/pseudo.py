@@ -39,12 +39,12 @@ UNIT_NORM_TOL = 1e-6
 PROB_SUM_TOL = 1e-9
 
 
+@np.errstate(over="ignore")  # squares that overflow give an inf norm, which callers refuse
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row: NumPy's own vector-norm formula, so its bits."""
     return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
-@np.errstate(over="ignore")  # squares that overflow give an inf norm, refused below
 def normalize_rows(rows: np.ndarray, name: str):
     """(rows / norms, norms); FloatingPointError names the first row whose
     norm is zero or not finite (a NaN row, or one whose squares overflow)."""
@@ -74,6 +74,7 @@ def check_temperature(value, name: str) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN sum is a bad row below
 def probability_row_problem(mat: np.ndarray):
     """(row, reason) for the first row of an (n, K) array that is not a
     probability vector (a non-finite or negative entry, or a sum off 1 by

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .data import AugmentationPolicy, CsvFormatError, Dataset, augment, csv_rows, read_table
-from .encoder import EncoderConfig, MlpEncoder, OptimizerState, update_prototypes
+from .encoder import EncoderConfig, MlpEncoder, update_prototypes
 from .evaluate import evaluate
 from .losses import METHODS, ContrastiveBatch, ssc_e_loss, ssc_loss
 from .pseudo import (DecisionKind, EntropyGate, PrototypeBank, assign_pseudo_labels,
@@ -126,6 +126,8 @@ class TrainConfig:
         if not 0.0 < self.gate_cutoff_fraction <= 1.0:
             raise ConfigError(
                 f"gate_cutoff_fraction must be in (0, 1], got {self.gate_cutoff_fraction}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         # reuse the constructors' own range checks
         try:
             check_temperature(self.temperature, "temperature")
@@ -133,7 +135,6 @@ class TrainConfig:
             self.encoder(1)
             self.policy()
             self.gate(2)
-            OptimizerState(self.momentum, 0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -391,8 +392,8 @@ def read_metrics(path):
 class TrainState:
     encoder: MlpEncoder
     bank: PrototypeBank
-    opt: OptimizerState
-    proto_opt: OptimizerState
+    velocities: list  # momentum buffers, one per encoder.parameters() entry, in order
+    proto_velocity: np.ndarray  # momentum buffer of bank.prototypes
     rng: np.random.Generator
     data_sha256: str  # Dataset.sha256() of the data the run trains on
     history: MetricHistory
@@ -407,11 +408,10 @@ def new_train_state(config: TrainConfig, input_dim: int, num_classes: int,
     """
     encoder = MlpEncoder(config.encoder(input_dim), rng)
     bank = PrototypeBank.random(num_classes, config.embed_dim, rng)
-    opt = OptimizerState.for_params(encoder.parameters(), config.momentum)
-    proto_opt = OptimizerState.for_params([bank.prototypes], config.momentum)
-    return TrainState(encoder=encoder, bank=bank, opt=opt, proto_opt=proto_opt,
-                      rng=rng, data_sha256=data_sha256,
-                      history=MetricHistory(config.steps_per_epoch))
+    return TrainState(encoder=encoder, bank=bank,
+                      velocities=[np.zeros_like(p) for p in encoder.parameters()],
+                      proto_velocity=np.zeros_like(bank.prototypes), rng=rng,
+                      data_sha256=data_sha256, history=MetricHistory(config.steps_per_epoch))
 
 
 def init_train_state(config: TrainConfig, dataset: Dataset) -> TrainState:
@@ -519,10 +519,8 @@ def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
     b = config.labeled_batch_size
     rows = len(cache.embeddings)
     grads = state.encoder.backward(cache, result.grad[:rows])
-    state.opt.lr = lr
-    state.proto_opt.lr = lr
-    state.encoder.apply_gradients(grads, state.opt)
-    update_prototypes(state.bank, result.grad[rows:], state.proto_opt)
+    state.encoder.apply_gradients(grads, state.velocities, config.momentum, lr)
+    update_prototypes(state.bank, result.grad[rows:], state.proto_velocity, config.momentum, lr)
 
     confident, entropy_selected, _ = kind_counts(decisions)
     metrics = StepMetrics(
@@ -567,7 +565,7 @@ def train(config: TrainConfig, dataset: Dataset, state: Optional[TrainState] = N
 
     Evaluates on the test split every `eval_every` steps (if nonzero) and
     always on the final step; checkpoints every `checkpoint_every` steps
-    and always at the end when a path is given. Passing a restored state
+    and once at the end when a path is given. Passing a restored state
     continues its metric history, so the final CSV matches an
     uninterrupted run byte for byte; a dataset other than the one the
     state was trained on raises ValueError before any step or write, and
@@ -607,10 +605,10 @@ def train(config: TrainConfig, dataset: Dataset, state: Optional[TrainState] = N
                                         test_y, config.t_prime)
         state.history.append(metrics)
         if (checkpoint_path is not None and config.checkpoint_every > 0
-                and (gstep + 1) % config.checkpoint_every == 0):
+                and (gstep + 1) % config.checkpoint_every == 0 and gstep + 1 < t_total):
             save_checkpoint(checkpoint_path, config, state)
 
-    if checkpoint_path is not None:
+    if checkpoint_path is not None:  # also after the last step, and when no step ran
         save_checkpoint(checkpoint_path, config, state)
     if metrics_path is not None:
         write_metrics(metrics_path, state.history, comments)

@@ -52,11 +52,10 @@ def test_round_trip_restores_everything_bit_exactly(tmp_path):
     assert back.step == state.step
     for a, b in zip(back.encoder.parameters(), state.encoder.parameters()):
         assert np.array_equal(a, b)
-    for a, b in zip(back.opt.velocities, state.opt.velocities):
+    for a, b in zip(back.velocities, state.velocities):
         assert np.array_equal(a, b)
     assert np.array_equal(back.bank.prototypes, state.bank.prototypes)
-    assert np.array_equal(back.proto_opt.velocities[0],
-                          state.proto_opt.velocities[0])
+    assert np.array_equal(back.proto_velocity, state.proto_velocity)
     assert back.rng.bit_generator.state == state.rng.bit_generator.state
     assert list(back.history) == list(state.history)
     # history keeps both blank and recorded eval entries

@@ -14,6 +14,7 @@ import pytest
 
 import sscent.trainer as trainer_mod
 from sscent import (
+    LossResult,
     TrainConfig,
     load_csv,
     save_checkpoint,
@@ -395,6 +396,36 @@ def test_train_zero_norm_embedding_exits_three(tmp_path, capsys):
     assert re.fullmatch(r"error: embedding row [0-7] has zero norm\n", capsys.readouterr().err)
 
 
+def test_train_non_finite_loss_exits_three_and_dumps_the_batch(data_csv, capsys,
+                                                              monkeypatch):
+    def nan_loss(batch):
+        return LossResult(value=float("nan"), grad=np.zeros_like(batch.embeddings))
+
+    monkeypatch.setattr(trainer_mod, "ssc_e_loss", nan_loss)
+    assert main(["train", "--data", data_csv, "--preset", "desk"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == ["error: non-finite loss at step 0: value nan",
+                       "offending batch: N=123, d=8, temperature=0.1"]
+    norms = re.fullmatch(r"embedding norms: min=(\S+) max=(\S+)", err[2]).groups()
+    # NumPy 2 writes np.float64(x), NumPy 1 writes x
+    assert all(abs(float(norm.removeprefix("np.float64(").removesuffix(")")) - 1.0) < 1e-6
+               for norm in norms)
+    labels = json.loads(err[3].removeprefix("labels: "))
+    weights = json.loads(err[4].removeprefix("weights: "))
+    assert len(err) == 5 and len(labels) == len(weights) == 123
+    assert labels[-3:] == [0, 1, 2]  # the prototype rows
+    assert weights[:8] == [1.0] * 8 and weights[-3:] == [1.0] * 3
+
+
+def test_train_of_zero_steps_writes_an_empty_run(data_csv, tmp_path, capsys):
+    metrics, ckpt = tmp_path / "m.csv", tmp_path / "c.npz"
+    assert main(["train", "--data", data_csv, *FAST_SET, "--epochs", "0",
+                 "--metrics-out", str(metrics), "--checkpoint-out", str(ckpt)]) == 0
+    assert "\nno steps to run\n" in capsys.readouterr().out
+    assert read_metrics(metrics)[1] == []
+    assert load_checkpoint(ckpt)[1].step == 0
+
+
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_train_three_features_keeps_a_coordinate_of_every_strong_view(tmp_path, capsys,
                                                                       seed):
@@ -685,6 +716,22 @@ def test_checkpoint_of_another_format_version_fails_validation(trained, data_csv
     assert capsys.readouterr().err == "error: checkpoint format 1 not supported (expected 4)\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_checkpoint_with_an_overflowing_prototype_is_one_error_line(trained, data_csv,
+                                                                   tmp_path, capsys, command):
+    with np.load(trained["ckpt"], allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    arrays["prototypes"][0] = 0.0
+    arrays["prototypes"][0, 0] = 1e200
+    ckpt = tmp_path / "huge.npz"
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert main(_argv(command, ckpt, data_csv)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: prototype row 0 must be unit norm (got inf)\n")
+
+
 @pytest.mark.parametrize("entry", ["set", "config-file", "checkpoint-eval",
                                    "checkpoint-resume", "gate-sim", "EntropyGate"])
 def test_bad_lambda_reject_gets_one_message_at_every_entry(trained, data_csv, tmp_path,
@@ -858,6 +905,31 @@ def test_gate_sim_invalid_probability_row_fails_validation(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {src}, line 4: probabilities {reason}\n"
 
 
+@pytest.mark.parametrize("rows, problem", [
+    ("0.5,abc\n", ", line 2: non-numeric probability cell"),
+    ("# a comment\n", ": no probability rows"),
+    ("inf,-inf\n", ", line 2: probabilities must contain only finite values"),
+    ("1e308,1e308\n", ", line 2: probabilities must sum to 1 (got inf)"),
+])
+def test_gate_sim_bad_input_is_one_error_line(rows, problem, tmp_path, capsys):
+    src = tmp_path / "rows.csv"
+    src.write_text("p_0,p_1\n" + rows)
+    assert main(["gate-sim", "--input", str(src)]) == 2
+    assert capsys.readouterr() == ("", f"error: {src}{problem}\n")
+
+
+def test_gate_sim_input_records_the_class_count_it_uses(tmp_path, capsys):
+    src = tmp_path / "two.csv"
+    src.write_text("p_0,p_1\n0.5,0.5\n")
+    out = tmp_path / "grid.csv"
+    assert main(["gate-sim", "--input", str(src), "--out", str(out)]) == 0
+    assert "gate_sim.classes = 2" in capsys.readouterr().out.splitlines()
+    text = out.read_text()
+    assert "# gate_sim.classes = 2\n" in text
+    # a rejected row's label is the class count plus its position
+    assert [(r["kind"], r["label"]) for r in gate_sim_rows(text)] == [("rejected", "2")]
+
+
 @pytest.mark.parametrize("classes", ["1", "0", "-1", "one-column file"])
 def test_gate_sim_class_count_gets_the_gate_message(classes, tmp_path, capsys):
     if classes == "one-column file":
@@ -1003,6 +1075,31 @@ def test_compare_out_keeps_a_per_class_label_list_in_one_cell(data_csv, tmp_path
     assert rows[0] == ["method", "labels_per_class", "seed", "final_test_acc"]
     assert [len(row) for row in rows] == [4] * 5
     assert {row[1] for row in rows[1:]} == {"4;4;3"}
+
+
+def test_compare_orders_the_means_as_the_runs(data_csv, tmp_path, capsys):
+    ten = tmp_path / "ten.csv"
+    argv = [a if a != "4" else "10" for a in GEN_ARGS]  # --labels-per-class 10
+    assert main(argv + ["--out", str(ten)]) == 0
+    logs = [str(tmp_path / "lpc10.csv"), str(tmp_path / "lpc4.csv")]
+    for data, log in zip((ten, data_csv), logs):
+        assert main(["train", "--data", str(data), *FAST_SET, "--metrics-out", log]) == 0
+    capsys.readouterr()
+    out = tmp_path / "table.csv"
+    assert main(["compare", *logs, "--out", str(out)]) == 0
+    printed = [line.split()[1:3] for line in capsys.readouterr().out.splitlines()[1:-1]]
+    order = [["4", "0"], ["10", "0"], ["4", "mean"], ["10", "mean"]]
+    assert printed == order
+    assert [row.split(",")[1:3] for row in out.read_text().splitlines()[1:]] == order
+
+
+def test_compare_refuses_a_log_without_test_acc(data_csv, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    assert main(["train", "--data", data_csv, *FAST_SET, "--epochs", "0",
+                 "--metrics-out", str(empty)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(empty), str(empty)]) == 1
+    assert capsys.readouterr() == ("", f"error: {empty}: no test_acc values recorded\n")
 
 
 @pytest.mark.parametrize("cell", ["abc", "nan"])

@@ -10,7 +10,6 @@ from sscent import (
     ContrastiveBatch,
     EncoderConfig,
     MlpEncoder,
-    OptimizerState,
     PrototypeBank,
     ssc_e_loss,
     update_prototypes,
@@ -160,8 +159,7 @@ def test_backward_rejects_stale_cache():
     x = np.random.default_rng(7).normal(size=(3, 5))
     z, cache = enc.forward(x)
     grads = enc.backward(cache, np.ones_like(z))
-    state = OptimizerState.for_params(enc.parameters(), momentum=0.9, lr=0.01)
-    enc.apply_gradients(grads, state)
+    enc.apply_gradients(grads, [np.zeros_like(p) for p in enc.parameters()], 0.9, 0.01)
     with pytest.raises(StaleCacheError):
         enc.backward(cache, np.ones_like(z))
 
@@ -299,21 +297,20 @@ def test_backward_softplus_path_matches_finite_differences():
 def test_sgd_zero_momentum_is_plain_descent():
     p = np.array([1.0, -2.0, 3.0])
     g = np.array([0.5, 0.5, -1.0])
-    state = OptimizerState.for_params([p], momentum=0.0, lr=0.1)
-    sgd_momentum_step([p], [g], state)
+    sgd_momentum_step([p], [g], [np.zeros(3)], 0.0, 0.1)
     assert np.array_equal(p, np.array([1.0, -2.0, 3.0]) - 0.1 * g)
 
 
 def test_sgd_velocity_decays_under_zero_gradient():
     p = np.zeros(2)
     g = np.array([1.0, 2.0])
-    state = OptimizerState.for_params([p], momentum=0.5, lr=0.0)
-    sgd_momentum_step([p], [g], state)
-    assert np.array_equal(state.velocities[0], g)
-    sgd_momentum_step([p], [np.zeros(2)], state)
-    assert np.array_equal(state.velocities[0], 0.5 * g)
-    sgd_momentum_step([p], [np.zeros(2)], state)
-    assert np.array_equal(state.velocities[0], 0.25 * g)
+    v = np.zeros(2)
+    sgd_momentum_step([p], [g], [v], 0.5, 0.0)
+    assert np.array_equal(v, g)
+    sgd_momentum_step([p], [np.zeros(2)], [v], 0.5, 0.0)
+    assert np.array_equal(v, 0.5 * g)
+    sgd_momentum_step([p], [np.zeros(2)], [v], 0.5, 0.0)
+    assert np.array_equal(v, 0.25 * g)
 
 
 def test_sgd_two_steps_constant_gradient_recurrence():
@@ -322,33 +319,28 @@ def test_sgd_two_steps_constant_gradient_recurrence():
     p0 = np.array([0.4, -1.2])
     g = np.array([2.0, 1.0])
     p = p0.copy()
-    state = OptimizerState.for_params([p], momentum=m, lr=eta)
-    sgd_momentum_step([p], [g], state)
-    sgd_momentum_step([p], [g], state)
+    v = np.zeros(2)
+    sgd_momentum_step([p], [g], [v], m, eta)
+    sgd_momentum_step([p], [g], [v], m, eta)
     expected = p0 - eta * g - eta * (1 + m) * g
     assert np.max(np.abs(p - expected)) < 1e-15
     # total displacement equals -eta*(2+m)*g ~ -0.087*g here
     assert np.max(np.abs((p - p0) + 0.087 * g)) < 1e-15
 
 
-def test_sgd_updates_in_place_and_returns_params():
-    p = np.ones(3)
-    state = OptimizerState.for_params([p], momentum=0.9, lr=0.5)
-    out = sgd_momentum_step([p], [np.ones(3)], state)
-    assert out[0] is p
+def test_sgd_updates_params_and_velocities_in_place():
+    p, v = np.ones(3), np.zeros(3)
+    assert sgd_momentum_step([p], [np.ones(3)], [v], 0.9, 0.5) is None
     assert np.array_equal(p, np.full(3, 0.5))
+    assert np.array_equal(v, np.ones(3))
 
 
-def test_optimizer_state_validation():
+def test_sgd_refuses_misaligned_buffers():
     p = np.ones(2)
-    for bad_m in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            OptimizerState.for_params([p], momentum=bad_m, lr=0.1)
-    state = OptimizerState.for_params([p], momentum=0.5, lr=0.0)
-    assert [v.shape for v in state.velocities] == [(2,)]
-    assert all(np.all(v == 0.0) for v in state.velocities)
-    with pytest.raises(ValueError):
-        sgd_momentum_step([p], [np.ones(3)], state)
+    with pytest.raises(ValueError, match="must align"):
+        sgd_momentum_step([p], [np.ones(2)], [], 0.5, 0.0)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        sgd_momentum_step([p], [np.ones(3)], [np.zeros(2)], 0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +351,8 @@ def test_update_prototypes_zero_gradient_is_identity():
     rng = np.random.default_rng(33)
     bank = PrototypeBank.random(3, 4, rng)
     before = bank.prototypes.copy()
-    state = OptimizerState.for_params([bank.prototypes], momentum=0.9, lr=0.05)
-    updated = update_prototypes(bank, np.zeros_like(before), state)
-    assert np.array_equal(updated.prototypes, before)
+    update_prototypes(bank, np.zeros_like(before), np.zeros_like(before), 0.9, 0.05)
+    assert np.array_equal(bank.prototypes, before)
 
 
 def test_update_prototypes_zero_lr_accumulates_velocity_only():
@@ -369,10 +360,10 @@ def test_update_prototypes_zero_lr_accumulates_velocity_only():
     bank = PrototypeBank.random(3, 4, rng)
     before = bank.prototypes.copy()
     g = rng.normal(size=before.shape)
-    state = OptimizerState.for_params([bank.prototypes], momentum=0.9, lr=0.0)
-    updated = update_prototypes(bank, g, state)
-    assert np.array_equal(updated.prototypes, before)
-    assert np.array_equal(state.velocities[0], g)
+    velocity = np.zeros_like(before)
+    update_prototypes(bank, g, velocity, 0.9, 0.0)
+    assert np.array_equal(bank.prototypes, before)
+    assert np.array_equal(velocity, g)
 
 
 def test_update_prototypes_radial_gradient_keeps_direction():
@@ -382,21 +373,19 @@ def test_update_prototypes_radial_gradient_keeps_direction():
     # gradient parallel to each prototype shrinks the radius only; the
     # renormalization restores the original direction
     g = 0.7 * before
-    state = OptimizerState.for_params([bank.prototypes], momentum=0.0, lr=0.1)
-    updated = update_prototypes(bank, g, state)
-    assert np.max(np.abs(updated.prototypes - before)) < 1e-12
+    update_prototypes(bank, g, np.zeros_like(before), 0.0, 0.1)
+    assert np.max(np.abs(bank.prototypes - before)) < 1e-12
 
 
 def test_update_prototypes_renormalizes_rows():
     rng = np.random.default_rng(36)
     bank = PrototypeBank.random(4, 6, rng)
     g = rng.normal(size=bank.prototypes.shape)
-    state = OptimizerState.for_params([bank.prototypes], momentum=0.9, lr=0.1)
     before = bank.prototypes.copy()
-    updated = update_prototypes(bank, g, state)
-    norms = np.linalg.norm(updated.prototypes, axis=1)
+    update_prototypes(bank, g, np.zeros_like(g), 0.9, 0.1)
+    norms = np.linalg.norm(bank.prototypes, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
-    assert not np.array_equal(updated.prototypes, before)
+    assert not np.array_equal(bank.prototypes, before)
 
 
 def test_update_prototypes_collapse_to_zero_is_a_zero_norm_error():
@@ -404,18 +393,16 @@ def test_update_prototypes_collapse_to_zero_is_a_zero_norm_error():
     bank = PrototypeBank.random(3, 4, np.random.default_rng(38))
     g = np.zeros_like(bank.prototypes)
     g[1] = bank.prototypes[1]
-    state = OptimizerState.for_params([bank.prototypes], momentum=0.0, lr=1.0)
     with pytest.raises(FloatingPointError, match=r"^prototype row 1 has zero norm$"):
-        update_prototypes(bank, g, state)
+        update_prototypes(bank, g, np.zeros_like(g), 0.0, 1.0)
 
 
 def test_update_prototypes_at_an_overflowing_rate_is_a_non_finite_norm_error():
     # at lr 1e200 every row's squared norm overflows; its rows would divide to zero
     bank = PrototypeBank.random(3, 4, np.random.default_rng(39))
     g = np.random.default_rng(40).normal(size=bank.prototypes.shape)
-    state = OptimizerState.for_params([bank.prototypes], momentum=0.9, lr=1e200)
     with pytest.raises(FloatingPointError, match=r"^prototype row 0 has a non-finite norm$"):
-        update_prototypes(bank, g, state)
+        update_prototypes(bank, g, np.zeros_like(g), 0.9, 1e200)
 
 
 def test_update_prototypes_velocity_carries_across_calls():
@@ -424,11 +411,10 @@ def test_update_prototypes_velocity_carries_across_calls():
     rng = np.random.default_rng(37)
     bank = PrototypeBank.random(2, 3, rng)
     g = rng.normal(size=bank.prototypes.shape)
-    state = OptimizerState.for_params([bank.prototypes], momentum=0.9, lr=0.0)
-    bank = update_prototypes(bank, g, state)
+    velocity = np.zeros_like(g)
+    update_prototypes(bank, g, velocity, 0.9, 0.0)
     before = bank.prototypes.copy()
-    state.lr = 0.05
-    bank = update_prototypes(bank, np.zeros_like(g), state)
+    update_prototypes(bank, np.zeros_like(g), velocity, 0.9, 0.05)
     assert not np.array_equal(bank.prototypes, before)
 
 
@@ -439,7 +425,7 @@ def test_apply_gradients_descends_on_simple_objective():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(8, 5))
     target = unit_rows(rng, 8, 3)
-    state = OptimizerState.for_params(enc.parameters(), momentum=0.9, lr=0.05)
+    velocities = [np.zeros_like(p) for p in enc.parameters()]
 
     def objective(z):
         return float(-np.sum(z * target))
@@ -449,6 +435,6 @@ def test_apply_gradients_descends_on_simple_objective():
     for _ in range(60):
         z, cache = enc.forward(x)
         grads = enc.backward(cache, -target)
-        enc.apply_gradients(grads, state)
+        enc.apply_gradients(grads, velocities, 0.9, 0.05)
     z, _ = enc.forward(x)
     assert objective(z) < first - 0.5

@@ -78,6 +78,12 @@ def test_bank_requires_unit_rows():
         PrototypeBank(prototypes=protos)
 
 
+def test_bank_with_an_overflowing_row_is_refused_without_a_warning():
+    protos = np.array([[1e200, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^prototype row 0 must be unit norm \(got inf\)$"):
+        PrototypeBank(prototypes=protos)
+
+
 def test_bank_random_unit_and_deterministic():
     a = PrototypeBank.random(4, 6, np.random.default_rng(7))
     b = PrototypeBank.random(4, 6, np.random.default_rng(7))

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sscent.checkpoint as checkpoint_mod
 import sscent.trainer as trainer_mod
 from sscent import (
     ConfigError,
@@ -87,6 +88,7 @@ def test_config_validation_errors():
         dict(temperature=0.0),
         dict(eta0=-0.1),
         dict(momentum=1.0),
+        dict(momentum=-0.1),
         dict(epochs=-1),
         dict(steps_per_epoch=0),
         dict(tau=0.0),
@@ -557,6 +559,24 @@ def test_train_refuses_an_unwritable_output_before_its_first_step(tmp_path, wher
     assert err.value.filename == str(path)
     assert state.step == 0 and len(state.history) == 0
     assert list(tmp_path.iterdir()) == []  # no .tmp file beside the checkpoint either
+
+
+def test_train_saves_each_checkpoint_once(tmp_path, monkeypatch):
+    saves = []
+    real_save = checkpoint_mod.save_checkpoint
+
+    def spy(path, config, state):
+        saves.append(state.step)
+        real_save(path, config, state)
+
+    monkeypatch.setattr(checkpoint_mod, "save_checkpoint", spy)
+    ds = tiny_dataset()
+    ckpt = tmp_path / "run.npz"
+    state, _ = train(tiny_config(checkpoint_every=4), ds, checkpoint_path=ckpt)
+    assert saves == [4, 8]
+    # a zero-step run still writes its checkpoint
+    train(tiny_config(checkpoint_every=4), ds, state=state, checkpoint_path=ckpt)
+    assert saves == [4, 8, 8]
 
 
 def test_train_history_follows_schedule_and_cadence():
