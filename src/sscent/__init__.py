@@ -3,7 +3,7 @@
 from .data import AugmentationPolicy, CsvFormatError, Dataset, augment, \
     generate_gaussian_clusters, load_csv, save_csv, split_dataset
 from .encoder import EncoderConfig, MlpEncoder, update_prototypes
-from .evaluate import EvalReport, build_report, evaluate, pseudo_metrics
+from .evaluate import EvalReport, build_report, evaluate
 from .losses import ContrastiveBatch, LossResult, ZeroNormalizerError, \
     grad_check, loss_oracle, ssc_e_loss, ssc_loss
 from .pseudo import DecisionKind, EntropyGate, GateDegenerateError, \

@@ -96,9 +96,9 @@ def load_checkpoint(path):
     kind ValueError naming the file, a bad config line
     ConfigError naming the file and line, and a bad step, input_dim or
     data_sha256 ValueError naming the file and field. A file that is not
-    a complete zip checkpoint, or whose metadata or history table has the
-    wrong shape, raises CheckpointFormatError, and one of another format
-    version ValueError.
+    a complete zip checkpoint, that holds an entry zipfile cannot read, or
+    whose metadata or history table has the wrong shape, raises
+    CheckpointFormatError, and one of another format version ValueError.
     """
     def incomplete(why):
         return CheckpointFormatError(f"{path}: not a complete checkpoint: {why}")
@@ -145,5 +145,8 @@ def load_checkpoint(path):
                 raise incomplete(f"history has shape {history.shape} at step {step}")
             state.history = MetricHistory(config.steps_per_epoch, history)
         return config, state
-    except (EOFError, zipfile.BadZipFile, json.JSONDecodeError, KeyError, TypeError) as exc:
+    # RuntimeError: zipfile's refusal of an encrypted entry, and (as NotImplementedError)
+    # of an unsupported version, compression method or flag
+    except (EOFError, zipfile.BadZipFile, json.JSONDecodeError, KeyError, TypeError,
+            RuntimeError) as exc:
         raise incomplete(exc) from None

@@ -11,7 +11,6 @@ over tolerance).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from importlib import resources
 
@@ -147,7 +146,7 @@ def _dump_batch(batch: ContrastiveBatch, stream) -> None:
     norms = row_norms(batch.embeddings)
     print(f"offending batch: N={batch.size}, d={batch.embeddings.shape[1]}, "
           f"temperature={batch.temperature}", file=stream)
-    print(f"embedding norms: min={norms.min()!r} max={norms.max()!r}", file=stream)
+    print(f"embedding norms: min={float(norms.min())} max={float(norms.max())}", file=stream)
     print(f"labels: {batch.labels.tolist()}", file=stream)
     print(f"weights: {batch.weights.tolist()}", file=stream)
 
@@ -357,45 +356,33 @@ def cmd_gate_sim(args) -> int:
 def cmd_compare(args) -> int:
     if len(args.logs) < 2:
         raise UsageError("compare needs at least 2 metrics logs")
-    missing = [p for p in args.logs if not os.path.exists(p)]
-    if missing:
-        print(f"missing logs: {', '.join(missing)}", file=sys.stderr)
-        return 2
-    entries = []
+    runs = []  # (method, labels_per_class, seed, final test_acc)
     for path in args.logs:
         meta, rows = read_metrics(path)
         evals = [row["test_acc"] for row in rows if row["test_acc"]]
         if not evals:
             raise ValueError(f"{path}: no test_acc values recorded")
-        entries.append({
-            "method": meta.get("train.method", "?"),
-            # a per-class list is comma-joined in the log; one CSV cell here
-            "labels_per_class": meta.get("data.labels_per_class", "?").replace(",", ";"),
-            "seed": meta.get("train.seed", "?"),
-            "acc": float(evals[-1]),
-        })
+        # a per-class list is comma-joined in the log; one CSV cell here
+        runs.append((meta.get("train.method", "?"),
+                     meta.get("data.labels_per_class", "?").replace(",", ";"),
+                     meta.get("train.seed", "?"), float(evals[-1])))
+
     def _numeric_aware(text):
         return (0, int(text)) if text.isdigit() else (1, text)
 
-    entries.sort(key=lambda e: (e["method"], _numeric_aware(e["labels_per_class"]),
-                                _numeric_aware(e["seed"])))
-    table = [(e["method"], e["labels_per_class"], e["seed"], e["acc"]) for e in entries]
+    runs.sort(key=lambda run: (run[0], _numeric_aware(run[1]), _numeric_aware(run[2])))
     groups = {}  # in the order of the sorted runs
-    for e in entries:
-        groups.setdefault((e["method"], e["labels_per_class"]), []).append(e["acc"])
-    for (method, lpc), accs in groups.items():
-        table.append((method, lpc, "mean", float(np.mean(accs))))
-    header = ("method", "labels_per_class", "seed", "final_test_acc")
-    lines = csv_rows(list(zip(*table)))
-    cells = [line.split(",") for line in lines]
-    widths = [max(len(header[j]), max(len(row[j]) for row in cells))
-              for j in range(4)]
-    print("  ".join(header[j].ljust(widths[j]) for j in range(4)))
-    for row in cells:
-        print("  ".join(row[j].ljust(widths[j]) for j in range(4)))
+    for method, lpc, _, acc in runs:
+        groups.setdefault((method, lpc), []).append(acc)
+    runs += [(method, lpc, "mean", float(np.mean(accs))) for (method, lpc), accs in groups.items()]
+    table = [("method", "labels_per_class", "seed", "final_test_acc"),
+             *((method, lpc, seed, repr(acc)) for method, lpc, seed, acc in runs)]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    for row in table:
+        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join([",".join(header), *lines]) + "\n")
+            fh.write("".join(",".join(row) + "\n" for row in table))
         print(f"wrote {args.out}")
     return 0
 

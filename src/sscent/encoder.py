@@ -68,7 +68,7 @@ class EncoderConfig:
     activation: str = "tanh"
 
     def __post_init__(self):
-        dims = (self.input_dim, *self.hidden_dims, self.embed_dim)
+        dims = self.layer_dims
         if any(int(d) < 1 for d in dims):
             raise ValueError(f"all layer widths must be >= 1, got {dims}")
         if self.activation not in ACTIVATIONS:

@@ -55,9 +55,6 @@ __all__ = [
     "write_metrics",
 ]
 
-METRICS_HEADER = "step,epoch,lr,loss,confident,entropy_selected,mean_unlabeled_weight,test_acc"
-
-
 class ConfigError(ValueError):
     """Bad key, bad value, or malformed line in a config source (named when given)."""
 
@@ -266,10 +263,12 @@ class StepMetrics:
     test_acc: Optional[float] = None
 
 
+# the metrics CSV's columns are the StepMetrics fields, in order
+METRICS_HEADER = ",".join(field.name for field in dataclasses.fields(StepMetrics))
+
 # one row per step, in StepMetrics field order without step and epoch
-HISTORY_DTYPE = np.dtype([("lr", np.float64), ("loss", np.float64),
-                          ("confident", np.int32), ("entropy_selected", np.int32),
-                          ("mean_unlabeled_weight", np.float64), ("test_acc", np.float64)])
+HISTORY_DTYPE = np.dtype([(field.name, np.int32 if field.type == "int" else np.float64)
+                          for field in dataclasses.fields(StepMetrics)[2:]])
 
 _row_values = operator.attrgetter(*HISTORY_DTYPE.names)
 
@@ -440,14 +439,6 @@ def check_dataset_fits(state: TrainState, dataset: Dataset) -> None:
         raise ValueError(f"dataset has SHA-256 {digest}, checkpoint expects {state.data_sha256}")
 
 
-def _sample_indices(rng: np.random.Generator, pool_size: int, count: int) -> np.ndarray:
-    """Seeded draw of `count` indices; with replacement only when the pool
-    is smaller than the request."""
-    if pool_size < 1:
-        raise ValueError("cannot sample from an empty pool")
-    return rng.choice(pool_size, size=count, replace=pool_size < count)
-
-
 def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
                    policy: AugmentationPolicy, labeled_x: np.ndarray,
                    labeled_y: np.ndarray, unlabeled_x: np.ndarray,
@@ -470,8 +461,9 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     """
     b = config.labeled_batch_size
     rng = state.rng
-    lab_idx = _sample_indices(rng, labeled_x.shape[0], b)
-    unl_idx = _sample_indices(rng, unlabeled_x.shape[0], config.mu * b)
+    n_lab, n_unl = labeled_x.shape[0], unlabeled_x.shape[0]
+    lab_idx = rng.choice(n_lab, size=b, replace=n_lab < b)
+    unl_idx = rng.choice(n_unl, size=config.mu * b, replace=n_unl < config.mu * b)
     chosen = unlabeled_x[unl_idx]
     weak = augment(chosen, policy, "weak", rng)
     strong1 = augment(chosen, policy, "strong", rng)
@@ -516,7 +508,6 @@ def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
         raise NonFiniteLossError(
             f"non-finite loss at step {step}: value {result.value}", step, batch)
 
-    b = config.labeled_batch_size
     rows = len(cache.embeddings)
     grads = state.encoder.backward(cache, result.grad[:rows])
     state.encoder.apply_gradients(grads, state.velocities, config.momentum, lr)
@@ -530,7 +521,7 @@ def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
         loss=float(result.value),
         confident=confident,
         entropy_selected=entropy_selected,
-        mean_unlabeled_weight=float(np.mean(batch.weights[b:b + len(decisions)])),
+        mean_unlabeled_weight=float(np.mean(decisions["weight"])),
     )
     state.step = step + 1
     return metrics

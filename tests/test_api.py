@@ -17,6 +17,6 @@ def test_the_package_exports_exactly_these_names():
         "assemble_batch", "assign_pseudo_labels", "augment", "build_report",
         "class_probabilities", "cosine_lr", "evaluate", "generate_gaussian_clusters",
         "grad_check", "init_train_state", "load_checkpoint", "load_csv", "loss_oracle",
-        "pseudo_metrics", "save_checkpoint", "save_csv", "split_dataset", "ssc_e_loss",
+        "save_checkpoint", "save_csv", "split_dataset", "ssc_e_loss",
         "ssc_loss", "train", "train_step", "update_prototypes",
     ]

@@ -15,11 +15,10 @@ from sscent import (
     evaluate,
     generate_gaussian_clusters,
     init_train_state,
-    pseudo_metrics,
     split_dataset,
     train,
 )
-from sscent.evaluate import format_report, weight_histogram
+from sscent.evaluate import format_report, pseudo_metrics, weight_histogram
 from sscent.pseudo import DECISION_DTYPE
 
 from conftest import unit_rows
