@@ -1,6 +1,6 @@
 """Bit-exact training-state persistence.
 
-A checkpoint (format 4) is a single .npz holding every parameter,
+A checkpoint (format 5) is a single .npz holding every parameter,
 velocity, and prototype array verbatim (prototype row k is class k), the
 metric history as one `history` table, and one JSON metadata entry,
 stored as ASCII bytes. The metadata holds the config (the same
@@ -14,8 +14,9 @@ for None. A save writes that table as it is and a load wraps the table
 it reads, so neither builds a Python object per step. Every float
 survives the round trip exactly: the config lines use shortest
 round-trip formatting and arrays are stored raw. A load refuses any
-non-finite array. Format 3, which kept the history as JSON in the
-metadata, and older formats are refused.
+non-finite array and a history `test_acc` outside [0, 1]. Format 4,
+whose config named the activation, format 3, which kept the history as
+JSON in the metadata, and older formats are refused.
 Writes go to a temp file first and are renamed into place, so a crash
 never leaves a truncated checkpoint behind.
 """
@@ -35,7 +36,7 @@ from .trainer import (HISTORY_DTYPE, MetricHistory, TrainConfig, TrainState, con
 
 __all__ = ["FORMAT_VERSION", "CheckpointFormatError", "load_checkpoint", "save_checkpoint"]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class CheckpointFormatError(ValueError):
@@ -92,13 +93,14 @@ def load_checkpoint(path):
     stopped: parameters, velocities, rng stream, and history all match
     bit for bit. An array whose shape differs from the configured
     architecture raises ValueError naming its entry, a non-finite array,
-    a prototype row off the unit sphere or a generator state of another
-    kind ValueError naming the file, a bad config line
-    ConfigError naming the file and line, and a bad step, input_dim or
-    data_sha256 ValueError naming the file and field. A file that is not
-    a complete zip checkpoint, that holds an entry zipfile cannot read, or
-    whose metadata or history table has the wrong shape, raises
-    CheckpointFormatError, and one of another format version ValueError.
+    a prototype row off the unit sphere, a history test_acc outside
+    [0, 1] or a generator state of another kind ValueError naming the
+    file, a bad config line ConfigError naming the file and line, and a
+    bad step, input_dim or data_sha256 ValueError naming the file and
+    field. A file that is not a complete zip checkpoint, that holds an
+    entry zipfile cannot read, or whose metadata or history table has the
+    wrong shape, raises CheckpointFormatError, and one of another format
+    version ValueError.
     """
     def incomplete(why):
         return CheckpointFormatError(f"{path}: not a complete checkpoint: {why}")
@@ -143,6 +145,11 @@ def load_checkpoint(path):
                 raise incomplete(f"history has dtype {history.dtype}, expected {HISTORY_DTYPE}")
             if history.shape != (step,):
                 raise incomplete(f"history has shape {history.shape} at step {step}")
+            acc = history["test_acc"]
+            bad = np.flatnonzero((acc < 0.0) | (acc > 1.0))  # NaN, no evaluation, passes
+            if bad.size:
+                raise ValueError(f"{path}: history row {bad[0]}: test_acc must be in [0, 1], "
+                                 f"got {float(acc[bad[0]])}")
             state.history = MetricHistory(config.steps_per_epoch, history)
         return config, state
     # RuntimeError: zipfile's refusal of an encrypted entry, and (as NotImplementedError)

@@ -26,9 +26,9 @@ from .losses import (METHODS, ContrastiveBatch, finite_difference_error, grad_ch
 from .pseudo import (DecisionKind, EntropyGate, assign_pseudo_labels, normalize_rows,
                      probability_row_problem, row_norms)
 from .trainer import (NonFiniteLossError, StepMetrics, TrainConfig, check_dataset_fits,
-                      config_to_lines, format_metrics_row, gate_active, key_lines,
-                      metrics_header_problem, parse_config_file, parse_config_lines,
-                      read_metrics, train)
+                      comment_values, config_to_lines, format_metrics_row, gate_active,
+                      key_lines, metrics_header_problem, metrics_rows, parse_config_file,
+                      parse_config_lines, train)
 
 __all__ = ["main"]
 
@@ -358,14 +358,16 @@ def cmd_compare(args) -> int:
         raise UsageError("compare needs at least 2 metrics logs")
     runs = []  # (method, labels_per_class, seed, final test_acc)
     for path in args.logs:
-        meta, rows = read_metrics(path)
-        evals = [row["test_acc"] for row in rows if row["test_acc"]]
-        if not evals:
+        comments, acc = [], ""
+        for cells in metrics_rows(path, comments):  # one row in memory at a time
+            acc = cells[-1] or acc
+        if not acc:
             raise ValueError(f"{path}: no test_acc values recorded")
+        meta = comment_values(comments)
         # a per-class list is comma-joined in the log; one CSV cell here
         runs.append((meta.get("train.method", "?"),
                      meta.get("data.labels_per_class", "?").replace(",", ";"),
-                     meta.get("train.seed", "?"), float(evals[-1])))
+                     meta.get("train.seed", "?"), float(acc)))
 
     def _numeric_aware(text):
         return (0, int(text)) if text.isdigit() else (1, text)

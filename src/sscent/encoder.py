@@ -1,7 +1,7 @@
 """A small MLP encoder producing unit-norm embeddings, with exact backprop.
 
-The network is hand-written numpy: configurable hidden widths, a smooth
-activation between layers, a linear output layer, and a final row-wise
+The network is hand-written numpy: configurable hidden widths, tanh
+between layers, a linear output layer, and a final row-wise
 normalization. The backward pass includes the normalization Jacobian
 (I - z z^T) / ||u||, where u is the pre-normalization output, so gradients
 of any downstream loss w.r.t. the unit embeddings propagate exactly to all
@@ -15,14 +15,12 @@ normalized after each step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .pseudo import PrototypeBank, normalize_rows
 
 __all__ = [
-    "ACTIVATIONS",
     "EncoderConfig",
     "ForwardCache",
     "MlpEncoder",
@@ -41,39 +39,16 @@ class StaleCacheError(RuntimeError):
     """A forward cache is reused after the encoder's parameters changed."""
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
-def _softplus_grad(act):
-    return -np.expm1(-act)  # sigmoid(x) = 1 - exp(-softplus(x))
-
-
-def _tanh_grad(act):
-    return 1.0 - act * act
-
-
-# name -> (function, derivative as a function of the activation's output)
-ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "tanh": (np.tanh, _tanh_grad),
-    "softplus": (_softplus, _softplus_grad),
-}
-
-
 @dataclass(frozen=True)
 class EncoderConfig:
     input_dim: int
     hidden_dims: tuple[int, ...] = (64, 64)
     embed_dim: int = 16
-    activation: str = "tanh"
 
     def __post_init__(self):
         dims = self.layer_dims
         if any(int(d) < 1 for d in dims):
             raise ValueError(f"all layer widths must be >= 1, got {dims}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {self.activation!r}, expected one of {sorted(ACTIVATIONS)}")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -124,11 +99,10 @@ class MlpEncoder:
                 f"inputs must be (n, {self.config.input_dim}), got {x.shape}")
         if not np.isfinite(x).all():
             raise ValueError("inputs must be finite")
-        act_fn, _ = ACTIVATIONS[self.config.activation]
         activations = [x]
         h = x
         for layer in range(self.num_layers - 1):
-            h = act_fn(h @ self.weights[layer] + self.biases[layer])
+            h = np.tanh(h @ self.weights[layer] + self.biases[layer])
             activations.append(h)
         embeddings, norms = normalize_rows(h @ self.weights[-1] + self.biases[-1], "embedding")
         return embeddings, ForwardCache(self._version, activations, norms, embeddings)
@@ -146,7 +120,6 @@ class MlpEncoder:
         if g.shape != cache.embeddings.shape:
             raise ValueError(
                 f"gradient shape {g.shape} does not match embeddings {cache.embeddings.shape}")
-        _, act_grad = ACTIVATIONS[self.config.activation]
         total = None
         for start in range(0, max(len(g), 1), _BACKWARD_ROWS):
             rows = slice(start, start + _BACKWARD_ROWS)
@@ -159,7 +132,7 @@ class MlpEncoder:
                 grads[2 * layer] = acts.T @ upstream
                 grads[2 * layer + 1] = upstream.sum(axis=0)
                 if layer > 0:
-                    upstream = (upstream @ self.weights[layer].T) * act_grad(acts)
+                    upstream = (upstream @ self.weights[layer].T) * (1.0 - acts * acts)
             if total is None:
                 total = grads
             else:

@@ -105,7 +105,6 @@ class TrainConfig:
     positives_only: bool = _key("gate.positives_only", False)
     hidden_dims: tuple = _key("encoder.hidden_dims", (64, 64))
     embed_dim: int = _key("encoder.embed_dim", 16)
-    activation: str = _key("encoder.activation", "tanh")
     weak_sigma: float = _key("aug.weak_sigma", 0.1)
     strong_sigma: float = _key("aug.strong_sigma", 0.5)
     strong_dropout: float = _key("aug.strong_dropout", 0.2)
@@ -138,7 +137,7 @@ class TrainConfig:
     def encoder(self, input_dim: int) -> EncoderConfig:
         """The encoder architecture these settings define for `input_dim` features."""
         return EncoderConfig(input_dim=input_dim, hidden_dims=self.hidden_dims,
-                             embed_dim=self.embed_dim, activation=self.activation)
+                             embed_dim=self.embed_dim)
 
     def gate(self, num_classes: int) -> EntropyGate:
         """The pseudo-label rule these settings define for `num_classes` classes."""
@@ -360,6 +359,33 @@ def metrics_header_problem(cells):
         return f"expected metrics header {METRICS_HEADER!r}"
 
 
+def metrics_rows(path, comments: list):
+    """Yield the cells of each row of a metrics CSV, reading one line at a
+    time, and append its comment bodies to `comments`. CsvFormatError at a
+    non-empty test_acc that is not a number in [0, 1]."""
+    table = read_table(path, metrics_header_problem, comments)
+    next(table)
+    for number, cells in table:
+        acc = cells[-1]  # test_acc, the last column
+        try:
+            valid = not acc or 0.0 <= float(acc) <= 1.0  # NaN is outside
+        except ValueError:
+            valid = False
+        if not valid:
+            raise CsvFormatError(path, number, f"test_acc must be a number in [0, 1], got {acc!r}")
+        yield cells
+
+
+def comment_values(comments) -> dict:
+    """Comment bodies of the form `key = value` as a key -> value dict."""
+    meta = {}
+    for body in comments:
+        key, sep, value = body.partition("=")
+        if sep:
+            meta[key.strip()] = value.strip()
+    return meta
+
+
 def read_metrics(path):
     """Parse a metrics CSV into (comment key/value dict, list of row dicts).
 
@@ -367,24 +393,9 @@ def read_metrics(path):
     test_acc that is not a number in [0, 1] raises CsvFormatError at its line.
     """
     comments = []
-    table = read_table(path, metrics_header_problem, comments)
-    columns = next(table)
-    rows = []
-    for number, cells in table:
-        rows.append(dict(zip(columns, cells)))
-        acc = rows[-1]["test_acc"]
-        try:
-            valid = not acc or 0.0 <= float(acc) <= 1.0  # NaN is outside
-        except ValueError:
-            valid = False
-        if not valid:
-            raise CsvFormatError(path, number, f"test_acc must be a number in [0, 1], got {acc!r}")
-    meta = {}
-    for body in comments:
-        key, sep, value = body.partition("=")
-        if sep:
-            meta[key.strip()] = value.strip()
-    return meta, rows
+    columns = METRICS_HEADER.split(",")
+    rows = [dict(zip(columns, cells)) for cells in metrics_rows(path, comments)]
+    return comment_values(comments), rows
 
 
 @dataclass

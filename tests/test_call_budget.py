@@ -27,7 +27,7 @@ SHAPES = {
 }
 
 # upper bounds on the calls of one train_step, measured on Python 3.11
-CALLS_PER_STEP = {"small-long": 48, "desk": 55}
+CALLS_PER_STEP = {"small-long": 47, "desk": 54}
 
 PACKAGE_DIR = os.path.dirname(sscent.__file__) + os.sep
 

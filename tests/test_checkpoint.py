@@ -63,17 +63,17 @@ def test_round_trip_restores_everything_bit_exactly(tmp_path):
     assert any(a is None for a in accs) and any(a is not None for a in accs)
 
 
-def test_format_4_round_trip_with_every_config_key_changed(tmp_path):
+def test_format_5_round_trip_with_every_config_key_changed(tmp_path):
     cfg = TrainConfig(
         labeled_batch_size=3, mu=2, temperature=0.25, eta0=0.05, momentum=0.5,
         epochs=2, steps_per_epoch=3, seed=11, method="ssc", eval_every=2,
         checkpoint_every=4, t_prime=0.2, tau=0.9, tau_ent=0.5, w_min=0.3,
         lambda_reject=0.1, gate_enabled=False, gate_cutoff_fraction=0.5,
-        positives_only=True, hidden_dims=(), embed_dim=5, activation="softplus",
+        positives_only=True, hidden_dims=(), embed_dim=5,
         weak_sigma=0.05, strong_sigma=0.4, strong_dropout=0.1)
     default = TrainConfig()
     fields = dataclasses.fields(TrainConfig)
-    assert len(fields) == 25
+    assert len(fields) == 24
     assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields)
     ds = fixture_dataset()
     csv = tmp_path / "all.csv"
@@ -85,14 +85,14 @@ def test_format_4_round_trip_with_every_config_key_changed(tmp_path):
         files = set(npz.files)
         meta = npz["meta"]
         history = npz["history"]
-    assert FORMAT_VERSION == 4
+    assert FORMAT_VERSION == 5
     assert meta.dtype.kind == "S"  # ASCII bytes, one byte per character
     meta = json.loads(meta.item().decode("ascii"))
-    assert meta["format_version"] == 4
+    assert meta["format_version"] == 5
     # the stored config is the metrics CSV's config comment block
     comments = [line[2:] for line in csv.read_text().splitlines() if line.startswith("# ")]
-    assert meta["config"] == comments[:25]
-    assert comments[25].startswith("data.")
+    assert meta["config"] == comments[:24]
+    assert comments[24].startswith("data.")
     assert files == {"meta", "history", "param_0", "param_1", "vel_0", "vel_1",
                      "prototypes", "proto_vel"}
     assert set(meta) == {"format_version", "config", "input_dim", "step", "rng_state",
@@ -133,7 +133,7 @@ def test_format_1_checkpoint_rejected(tmp_path):
     with open(old, "wb") as fh:
         np.savez(fh, **arrays)
 
-    with pytest.raises(ValueError, match=r"format 1 not supported \(expected 4\)"):
+    with pytest.raises(ValueError, match=r"format 1 not supported \(expected 5\)"):
         load_checkpoint(old)
 
 
@@ -282,7 +282,7 @@ def test_format_2_checkpoint_rejected(tmp_path, capsys):
     old = _rewrite(path, tmp_path / "v2.npz", downgrade)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(old), "--data", str(data)]) == 1
-    assert capsys.readouterr().err == "error: checkpoint format 2 not supported (expected 4)\n"
+    assert capsys.readouterr().err == "error: checkpoint format 2 not supported (expected 5)\n"
 
 
 def test_format_3_checkpoint_rejected(tmp_path, capsys):
@@ -303,7 +303,59 @@ def test_format_3_checkpoint_rejected(tmp_path, capsys):
     old = _rewrite(path, tmp_path / "v3.npz", downgrade)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(old), "--data", str(data)]) == 1
-    assert capsys.readouterr().err == "error: checkpoint format 3 not supported (expected 4)\n"
+    assert capsys.readouterr().err == "error: checkpoint format 3 not supported (expected 5)\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_format_4_checkpoint_rejected(tmp_path, capsys, command):
+    # format 4 stored an `encoder.activation` line in its config
+    ds = fixture_dataset()
+    cfg = fixture_config()
+    state, _ = train(cfg, ds)
+    path = tmp_path / "v5.npz"
+    save_checkpoint(path, cfg, state)
+    data = tmp_path / "data.csv"
+    save_csv(ds, data)
+
+    def downgrade(arrays, meta):
+        meta["format_version"] = 4
+        at = meta["config"].index("encoder.embed_dim = 4") + 1
+        meta["config"].insert(at, "encoder.activation = tanh")
+
+    old = _rewrite(path, tmp_path / "v4.npz", downgrade)
+    argv = (["eval", "--checkpoint", str(old)] if command == "eval"
+            else ["train", "--resume", str(old), "--metrics-out", str(tmp_path / "m.csv")])
+    capsys.readouterr()
+    assert main([*argv, "--data", str(data)]) == 1
+    assert capsys.readouterr() == ("", "error: checkpoint format 4 not supported (expected 5)\n")
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+@pytest.mark.parametrize("acc", [5.0, -0.25, np.inf])
+def test_history_test_acc_outside_the_unit_interval_is_refused(tmp_path, capsys, command, acc):
+    ds = fixture_dataset()
+    cfg = fixture_config()  # evaluates at steps 2, 5 and 7
+    state, _ = train(cfg, ds)
+    path = tmp_path / "ok.npz"
+    save_checkpoint(path, cfg, state)
+    data = tmp_path / "data.csv"
+    save_csv(ds, data)
+
+    def corrupt(table):
+        table = table.copy()
+        table["test_acc"][3] = acc  # a row without an evaluation
+        return table
+
+    bad = _rewrite(path, tmp_path / "bad.npz", _set_history(corrupt))
+    out = tmp_path / "bad.csv"
+    argv = (["eval", "--checkpoint", str(bad)] if command == "eval"
+            else ["train", "--resume", str(bad), "--metrics-out", str(out)])
+    capsys.readouterr()
+    assert main([*argv, "--data", str(data)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {bad}: history row 3: test_acc must be in [0, 1], got {acc}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row, field, message", [
@@ -420,7 +472,7 @@ def _set_history(make):
 @pytest.mark.parametrize("edit, code, message", [
     # the config lines go through the config parser: bad lines exit 1
     (lambda arrays, meta: meta["config"].append("train.bogus = 1"), 1,
-     "{path}: config, line 26: unknown config key 'train.bogus'"),
+     "{path}: config, line 25: unknown config key 'train.bogus'"),
     (lambda arrays, meta: meta["config"].__setitem__(12, "gate.tau = x"), 1,
      "{path}: config, line 13: bad value for gate.tau: could not convert string to float: 'x'"),
     (lambda arrays, meta: meta["config"].__setitem__(12, "gate.tau = 2.0"), 1,

@@ -9,6 +9,7 @@ import json
 import re
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,14 @@ def test_train_unknown_set_key_fails_validation(data_csv, capsys):
     rc = main(["train", "--data", data_csv, "--set", "train.nope = 3"])
     assert rc == 1
     assert "train.nope" in capsys.readouterr().err
+
+
+def test_train_set_of_the_activation_key_is_unknown(data_csv, capsys):
+    # the encoder is tanh; the setting that chose its activation is gone
+    assert main(["train", "--data", data_csv, "--set", "encoder.activation=tanh", *FAST_SET,
+                 "--epochs", "0"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: --set, line 1: unknown config key 'encoder.activation'\n")
 
 
 def test_train_invalid_value_fails_validation(data_csv, capsys):
@@ -672,7 +681,7 @@ def _damaged_checkpoint(good, tmp_path, damage):
         with np.load(good, allow_pickle=False) as npz:
             arrays = {k: npz[k] for k in npz.files if k != "meta"}
         if damage == "meta_not_json":
-            arrays["meta"] = np.array(b"format_version = 4")
+            arrays["meta"] = np.array(b"format_version = 5")
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
     return path
@@ -741,7 +750,7 @@ def test_checkpoint_of_another_format_version_fails_validation(trained, data_csv
     capsys.readouterr()
     rc = main(_argv(command, ckpt, data_csv))
     assert rc == 1
-    assert capsys.readouterr().err == "error: checkpoint format 1 not supported (expected 4)\n"
+    assert capsys.readouterr().err == "error: checkpoint format 1 not supported (expected 5)\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "resume"])
@@ -1145,6 +1154,32 @@ def test_compare_names_the_line_of_a_malformed_test_acc(two_logs, capsys, cell):
     assert out == ""
     assert err == (f"error: {two_logs[1]}, line {last}: "
                    f"test_acc must be a number in [0, 1], got {cell!r}\n")
+
+
+def test_compare_reads_each_log_in_constant_memory(tmp_path, capsys):
+    # two 20,000-row logs; a list of their rows would take tens of MB
+    steps = 20_000
+    table = np.zeros(steps, trainer_mod.HISTORY_DTYPE)
+    table["lr"] = np.linspace(0.03, 0.006, steps)
+    table["loss"] = np.linspace(4.0, 0.5, steps)
+    table["test_acc"] = np.nan
+    table["test_acc"][1023::1024] = np.linspace(0.5, 0.75, steps // 1024)
+    history = trainer_mod.MetricHistory(1024, table)
+    logs = []
+    for method in ("ssc", "ssc-e"):
+        logs.append(str(tmp_path / f"{method}.csv"))
+        comments = trainer_mod.config_to_lines(TrainConfig(method=method))
+        trainer_mod.write_metrics(logs[-1], history, comments + ["data.labels_per_class = 4"])
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["compare", *logs]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    last = repr(float(table["test_acc"][steps - steps % 1024 - 1]))
+    assert capsys.readouterr().out.splitlines()[1].split() == ["ssc", "4", "0", last]
 
 
 def test_compare_missing_log_is_io_error(two_logs, tmp_path, capsys):

@@ -98,7 +98,6 @@ def test_config_validation_errors():
         dict(lambda_reject=-0.2),
         dict(gate_cutoff_fraction=1.5),
         dict(t_prime=0.0),
-        dict(activation="relu"),
         dict(hidden_dims=(8, 0)),
         dict(weak_sigma=0.9, strong_sigma=0.5),
         dict(strong_dropout=2.0),
@@ -192,7 +191,7 @@ EVERY_FIELD_CHANGED = dict(
     epochs=2, steps_per_epoch=3, seed=11, method="ssc", eval_every=2,
     checkpoint_every=4, t_prime=0.2, tau=0.9, tau_ent=0.5, w_min=0.3,
     lambda_reject=0.1, gate_enabled=False, gate_cutoff_fraction=0.5,
-    positives_only=True, hidden_dims=(12, 6), embed_dim=5, activation="softplus",
+    positives_only=True, hidden_dims=(12, 6), embed_dim=5,
     weak_sigma=0.05, strong_sigma=0.4, strong_dropout=0.1)
 
 
