@@ -11,6 +11,7 @@ over tolerance).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 
@@ -27,7 +28,7 @@ from .pseudo import (DecisionKind, EntropyGate, assign_pseudo_labels, normalize_
                      probability_row_problem, row_norms)
 from .trainer import (NonFiniteLossError, StepMetrics, TrainConfig, check_dataset_fits,
                       comment_values, config_to_lines, format_metrics_row, gate_active,
-                      key_lines, metrics_header_problem, metrics_rows, parse_config_file,
+                      key_lines, metrics_rows, parse_config_file,
                       parse_config_lines, train)
 
 __all__ = ["main"]
@@ -216,8 +217,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.append:  # refuse a missing file or a non-metrics CSV before printing anything
-        next(read_table(args.append, metrics_header_problem))
+    if args.append:  # refuse a missing file or a bad metrics log before printing anything
+        for _ in metrics_rows(args.append, []):
+            pass
     config, state = load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data)
     check_dataset_fits(state, dataset)
@@ -233,8 +235,12 @@ def cmd_eval(args) -> int:
                           lr=None, loss=None, confident=report.confident,
                           entropy_selected=report.entropy_selected,
                           mean_unlabeled_weight=None, test_acc=report.test_accuracy)
-        with open(args.append, "a", encoding="utf-8", newline="") as fh:
-            fh.write(format_metrics_row(row) + "\n")
+        text = format_metrics_row(row) + "\n"
+        with open(args.append, "rb+") as fh:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) not in (b"\n", b"\r"):  # the last line has no line end
+                text = "\n" + text
+            fh.write(text.encode("utf-8"))
         print(f"appended to {args.append}")
     return 0
 

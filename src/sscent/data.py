@@ -248,7 +248,7 @@ def augment(v, policy: AugmentationPolicy, kind: str, rng: np.random.Generator):
         out = v + rng.normal(0.0, policy.strong_sigma, size=v.shape)
         uniforms = rng.random(v.shape)
         out[(uniforms < policy.strong_dropout)
-            & (uniforms < uniforms.max(axis=-1, keepdims=True))] = 0.0
+            & (uniforms < np.maximum.reduce(uniforms, axis=-1, keepdims=True))] = 0.0
         return out
     raise ValueError(f"unknown augmentation kind {kind!r}, expected 'weak' or 'strong'")
 

@@ -97,11 +97,11 @@ class MlpEncoder:
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ValueError(
                 f"inputs must be (n, {self.config.input_dim}), got {x.shape}")
-        if not np.isfinite(x).all():
+        if not np.logical_and.reduce(np.isfinite(x), axis=None):
             raise ValueError("inputs must be finite")
         activations = [x]
         h = x
-        for layer in range(self.num_layers - 1):
+        for layer in range(len(self.weights) - 1):
             h = np.tanh(h @ self.weights[layer] + self.biases[layer])
             activations.append(h)
         embeddings, norms = normalize_rows(h @ self.weights[-1] + self.biases[-1], "embedding")
@@ -124,13 +124,13 @@ class MlpEncoder:
         for start in range(0, max(len(g), 1), _BACKWARD_ROWS):
             rows = slice(start, start + _BACKWARD_ROWS)
             z, gz = cache.embeddings[rows], g[rows]
-            radial = (gz * z).sum(axis=1, keepdims=True)
+            radial = np.add.reduce(gz * z, axis=1, keepdims=True)
             upstream = (gz - radial * z) / cache.norms[rows, None]
-            grads = [None] * (2 * self.num_layers)
-            for layer in range(self.num_layers - 1, -1, -1):
+            grads = [None] * (2 * len(self.weights))
+            for layer in range(len(self.weights) - 1, -1, -1):
                 acts = cache.activations[layer][rows]
                 grads[2 * layer] = acts.T @ upstream
-                grads[2 * layer + 1] = upstream.sum(axis=0)
+                grads[2 * layer + 1] = np.add.reduce(upstream, axis=0)
                 if layer > 0:
                     upstream = (upstream @ self.weights[layer].T) * (1.0 - acts * acts)
             if total is None:
@@ -168,5 +168,5 @@ def update_prototypes(bank: PrototypeBank, grads, velocity: np.ndarray, momentum
     """
     sgd_momentum_step([bank.prototypes], [np.asarray(grads, dtype=np.float64)], [velocity],
                       momentum, lr)
-    if lr != 0.0 and velocity.any():
+    if lr != 0.0 and np.logical_or.reduce(velocity, axis=None):
         bank.prototypes = normalize_rows(bank.prototypes, "prototype")[0]

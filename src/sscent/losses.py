@@ -100,6 +100,7 @@ class ContrastiveBatch:
     temperature: float
     anchor_mask: Optional[np.ndarray] = None
 
+    @np.errstate(over="ignore")  # for check_unit_rows
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -111,7 +112,8 @@ class ContrastiveBatch:
             raise ValueError(f"need at least 2 embeddings, got {n}")
         if self.labels.shape != (n,) or self.weights.shape != (n,):
             raise ValueError("labels and weights must each have one entry per embedding")
-        if not ((self.weights >= 0.0) & (self.weights <= 1.0)).all():  # NaN fails too
+        in_range = (self.weights >= 0.0) & (self.weights <= 1.0)  # NaN is not
+        if not np.logical_and.reduce(in_range):
             raise ValueError("weights must lie in [0, 1]")
         check_temperature(self.temperature, "temperature")
         check_unit_rows(self.embeddings, "embedding")
@@ -178,9 +180,9 @@ def _gap_plan(order, cls, size, b):
     cut = max(1, n // _BLOCK)
     large = size > cut
     columns = members = None
-    if large.any():
-        width = np.count_nonzero(large) + 1
-        column = large.cumsum()
+    column = large.cumsum()  # the last entry counts the large classes
+    if column[-1]:
+        width = column[-1] + 1
         column *= large
         column = column[cls]
         class_b = np.zeros((n, width))
@@ -189,8 +191,9 @@ def _gap_plan(order, cls, size, b):
         columns = class_b, block_row * width + column
     if cut > 1:  # else no class of 2 .. cut rows exists
         span = np.where(large | (size < 2), 0, size)[cls]
-        if span.any():
-            slot = np.arange(span.max())
+        slots = np.maximum.reduce(span)
+        if slots:
+            slot = np.arange(slots)
             member_at = order[np.minimum(np.add.outer(cls, slot), n - 1)]
             member_b = b[member_at] * np.greater.outer(span, slot)
             member_at += (block_row * n)[:, None]

@@ -39,18 +39,20 @@ UNIT_NORM_TOL = 1e-6
 PROB_SUM_TOL = 1e-9
 
 
-@np.errstate(over="ignore")  # squares that overflow give an inf norm, which callers refuse
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row: NumPy's own vector-norm formula, so its bits."""
+    """Euclidean norm of each row: NumPy's own vector-norm formula, so its bits.
+    Squares that overflow give an inf norm, which callers refuse under np.errstate."""
     return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
+@np.errstate(over="ignore")  # for row_norms
 def normalize_rows(rows: np.ndarray, name: str):
     """(rows / norms, norms); FloatingPointError names the first row whose
     norm is zero or not finite (a NaN row, or one whose squares overflow)."""
     norms = row_norms(rows)
     # a NaN norm carries through min and max and fails both comparisons
-    if not (norms.min(initial=np.inf) >= 1e-150 and norms.max(initial=0.0) < np.inf):
+    if not (np.minimum.reduce(norms, initial=np.inf) >= 1e-150
+            and np.maximum.reduce(norms, initial=0.0) < np.inf):
         row = int(np.argmax(~((norms >= 1e-150) & (norms < np.inf))))
         problem = "zero norm" if norms[row] < 1e-150 else "a non-finite norm"
         raise FloatingPointError(f"{name} row {row} has {problem}")
@@ -58,10 +60,11 @@ def normalize_rows(rows: np.ndarray, name: str):
 
 
 def check_unit_rows(rows: np.ndarray, name: str) -> None:
-    """Raise ValueError naming the first non-finite row or norm off 1 by > UNIT_NORM_TOL."""
+    """Raise ValueError naming the first non-finite row or norm off 1 by > UNIT_NORM_TOL
+    (callers hold np.errstate(over="ignore") for row_norms)."""
     norms = row_norms(rows)
     off = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)  # a NaN or inf row is off too
-    if off.any():
+    if np.logical_or.reduce(off):
         row = int(np.argmax(off))
         if not np.isfinite(rows[row]).all():
             raise ValueError(f"{name} row {row} must contain only finite values")
@@ -70,7 +73,7 @@ def check_unit_rows(rows: np.ndarray, name: str) -> None:
 
 def check_temperature(value, name: str) -> None:
     """Raise ValueError unless the temperature `value` is finite and > 0."""
-    if not np.isfinite(value) or value <= 0:
+    if not math.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
@@ -79,10 +82,10 @@ def probability_row_problem(mat: np.ndarray):
     """(row, reason) for the first row of an (n, K) array that is not a
     probability vector (a non-finite or negative entry, or a sum off 1 by
     more than PROB_SUM_TOL); None when every row is one."""
-    negative = (mat < 0.0).any(axis=1)
-    sums = mat.sum(axis=1)
+    negative = np.logical_or.reduce(mat < 0.0, axis=1)
+    sums = np.add.reduce(mat, axis=1)
     bad = negative | ~(np.abs(sums - 1.0) <= PROB_SUM_TOL)  # a non-finite row sums to NaN or inf
-    if not bad.any():
+    if not np.logical_or.reduce(bad):
         return None
     row = int(np.argmax(bad))
     return row, ("must contain only finite values" if not np.isfinite(mat[row]).all() else
@@ -108,6 +111,7 @@ class PrototypeBank:
 
     prototypes: np.ndarray
 
+    @np.errstate(over="ignore")  # for check_unit_rows
     def __post_init__(self):
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         if self.prototypes.ndim != 2 or self.prototypes.shape[0] < 1:
@@ -128,14 +132,14 @@ class PrototypeBank:
         return cls(prototypes=normalize_rows(rng.normal(size=(num_classes, dim)), "prototype")[0])
 
     def scores_by_class(self, embeddings: np.ndarray) -> np.ndarray:
-        """Cosine scores against each prototype; column k is class k.
+        """Cosine scores of (n, d) embeddings against each prototype; column
+        k is class k.
 
         Each row is its own (1, d) @ (d, K) product, so its bits do not
         depend on the rows scored with it; a single (n, d) @ (d, K) product
         can differ in the last place.
         """
-        z = np.atleast_2d(embeddings)
-        return (z[:, None, :] @ self.prototypes.T)[:, 0, :]
+        return (embeddings[:, None, :] @ self.prototypes.T)[:, 0, :]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -173,6 +177,7 @@ class EntropyGate:
         return self.tau_ent * self.h_max
 
 
+@np.errstate(over="ignore")  # an overflowing norm or score is reported by the checks below
 def class_probabilities(z_w, bank: PrototypeBank, t_prime: float) -> np.ndarray:
     """Class probabilities for an (n, d) block of unit embeddings.
 
@@ -185,12 +190,11 @@ def class_probabilities(z_w, bank: PrototypeBank, t_prime: float) -> np.ndarray:
         raise ValueError(f"embeddings have shape {z.shape}, prototypes expect (n, {bank.dim})")
     check_unit_rows(z, "embedding")
     check_temperature(t_prime, "t_prime")
-    with np.errstate(over="ignore"):  # an overflow is reported by the check below
-        scaled = bank.scores_by_class(z) / float(t_prime)
-    if not np.isfinite(scaled).all():
+    scaled = bank.scores_by_class(z) / float(t_prime)
+    if not np.logical_and.reduce(np.isfinite(scaled), axis=None):
         raise ValueError("temperature too small for the given scores")
-    exps = np.exp(scaled - scaled.max(axis=1, keepdims=True))
-    return exps / exps.sum(axis=1, keepdims=True)
+    exps = np.exp(scaled - np.maximum.reduce(scaled, axis=1, keepdims=True))
+    return exps / np.add.reduce(exps, axis=1, keepdims=True)
 
 
 def adaptive_weight(h_i, e_min: float, h_base: float, w_min: float):
@@ -258,17 +262,17 @@ def assign_pseudo_labels(probs, gate: EntropyGate, entropy_gate_enabled: bool) -
         raise ValueError("probabilities row {} {}".format(*problem))
 
     n = mat.shape[0]
-    max_prob = mat.max(axis=1)
+    max_prob = np.maximum.reduce(mat, axis=1)
     labels = mat.argmax(axis=1)  # first maximum: lowest class index on ties
-    terms = np.where(mat > 0.0, mat * np.log(np.where(mat > 0.0, mat, 1.0)), 0.0)
-    entropies = -terms.sum(axis=1)
+    terms = mat * np.log(mat, out=np.zeros(mat.shape), where=mat > 0.0)
+    entropies = -np.add.reduce(terms, axis=1)
     # clamp round-off below zero; np.maximum would turn a one-hot row's -0.0 into 0.0
     entropies = np.where(entropies < 0.0, 0.0, entropies)
     confident = max_prob > gate.tau
     kinds = np.where(confident, 0, 2)
     weights = np.where(confident, 1.0, float(gate.lambda_reject))
-    if entropy_gate_enabled and confident.any():
-        e_min = np.max(entropies, where=confident, initial=-np.inf)
+    if entropy_gate_enabled and np.logical_or.reduce(confident):
+        e_min = np.maximum.reduce(entropies, where=confident, initial=-np.inf)
         if e_min < gate.h_base:
             selected = ~confident & (entropies < gate.h_base)
             gated = adaptive_weight(entropies, e_min, gate.h_base, gate.w_min)

@@ -11,6 +11,10 @@ order is fixed and documented per function so checkpointed runs resume
 bit-exactly: init consumes encoder weights then prototypes; each step
 consumes labeled indices, unlabeled indices, the weak view's noise block,
 then the noise and dropout blocks of strong view 1, then 2 (see `augment`).
+
+Small steps are bound by call overhead, so the step path calls the C functions
+behind NumPy's Python wrappers (`np.add.reduce` for `.sum`, `np.concatenate`
+for `np.vstack`, ...), with the same bits (tests/test_call_budget.py).
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class ConfigError(ValueError):
 
 
 class NonFiniteLossError(RuntimeError):
-    """Loss or gradient went NaN/Inf; carries the offending batch."""
+    """Loss, gradient or prototype update went NaN/Inf; carries the offending batch."""
 
     def __init__(self, message: str, step: int, batch: ContrastiveBatch):
         super().__init__(message)
@@ -480,23 +484,25 @@ def assemble_batch(state: TrainState, config: TrainConfig, gate: EntropyGate,
     strong1 = augment(chosen, policy, "strong", rng)
     strong2 = augment(chosen, policy, "strong", rng)
 
-    z, cache = state.encoder.forward(np.vstack([labeled_x[lab_idx], strong1, strong2]))
+    z, cache = state.encoder.forward(np.concatenate([labeled_x[lab_idx], strong1, strong2]))
     z_weak, _ = state.encoder.forward(weak)
 
     probs = class_probabilities(z_weak, state.bank, config.t_prime)
     decisions = assign_pseudo_labels(probs, gate, entropy_gate_enabled)
     labels_u = decisions["assigned_label"]
-    weights_u = decisions["weight"]
 
     k = state.bank.num_classes
-    embeddings = np.vstack([z, state.bank.prototypes])
+    embeddings = np.concatenate([z, state.bank.prototypes])
     labels = np.concatenate([labeled_y[lab_idx], labels_u, labels_u, np.arange(k)])
-    weights = np.concatenate([np.ones(b), weights_u, weights_u, np.ones(k)])
+    # the rows of strong views 1 and 2; the labeled and prototype rows keep weight 1
+    view1, view2 = slice(b, b + len(labels_u)), slice(b + len(labels_u), -k)
+    weights = np.ones(len(labels))
+    weights[view1] = weights[view2] = decisions["weight"]
     anchor_mask = None
     if config.positives_only:
-        kept = decisions["kind"] != DecisionKind.ENTROPY_SELECTED
-        anchor_mask = np.concatenate([np.ones(b, dtype=bool), kept, kept,
-                                      np.ones(k, dtype=bool)])
+        anchor_mask = np.ones(len(labels), dtype=bool)
+        anchor_mask[view1] = anchor_mask[view2] = (
+            decisions["kind"] != DecisionKind.ENTROPY_SELECTED)
     batch = ContrastiveBatch(embeddings=embeddings, labels=labels,
                              weights=weights, temperature=config.temperature,
                              anchor_mask=anchor_mask)
@@ -515,16 +521,23 @@ def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
         state, config, gate, policy, labeled_x, labeled_y, unlabeled_x, enabled)
     loss_fn = ssc_e_loss if config.method == "ssc-e" else ssc_loss
     result = loss_fn(batch)
-    if not np.isfinite(result.value) or not np.isfinite(result.grad).all():
+    if not (math.isfinite(result.value)
+            and np.logical_and.reduce(np.isfinite(result.grad), axis=None)):
         raise NonFiniteLossError(
             f"non-finite loss at step {step}: value {result.value}", step, batch)
 
     rows = len(cache.embeddings)
     grads = state.encoder.backward(cache, result.grad[:rows])
     state.encoder.apply_gradients(grads, state.velocities, config.momentum, lr)
-    update_prototypes(state.bank, result.grad[rows:], state.proto_velocity, config.momentum, lr)
+    try:
+        update_prototypes(state.bank, result.grad[rows:], state.proto_velocity,
+                          config.momentum, lr)
+    except FloatingPointError as exc:  # a prototype row without a usable norm
+        raise NonFiniteLossError(f"non-finite prototypes at step {step}: {exc}",
+                                 step, batch) from exc
 
     confident, entropy_selected, _ = kind_counts(decisions)
+    weights = decisions["weight"]
     metrics = StepMetrics(
         step=step,
         epoch=epoch,
@@ -532,7 +545,7 @@ def train_step(state: TrainState, config: TrainConfig, gate: EntropyGate,
         loss=float(result.value),
         confident=confident,
         entropy_selected=entropy_selected,
-        mean_unlabeled_weight=float(np.mean(decisions["weight"])),
+        mean_unlabeled_weight=float(np.add.reduce(weights) / weights.size),
     )
     state.step = step + 1
     return metrics

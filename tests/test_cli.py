@@ -363,11 +363,32 @@ def test_train_desk_preset_runs(data_csv, tmp_path, capsys):
     assert "finished step 1" in capsys.readouterr().out
 
 
+def _check_prototype_failure(err: str, temperature: str) -> None:
+    """The step-0 prototype failure's error line and batch dump."""
+    lines = err.splitlines()
+    assert len(lines) == 5
+    assert lines[:2] == ["error: non-finite prototypes at step 0: "
+                         "prototype row 0 has a non-finite norm",
+                         f"offending batch: N=123, d=8, temperature={temperature}"]
+    assert lines[2].startswith("embedding norms: min=")
+    assert lines[3].startswith("labels: ") and lines[4].startswith("weights: ")
+
+
 def test_train_overflowing_parameters_exit_three_naming_the_row(data_csv, capsys):
     # at lr 1e200 the first prototype update overflows the rows' squared norms
     assert main(["train", "--data", data_csv, "--preset", "desk",
                  "--set", "train.eta0=1e200"]) == 3
-    assert capsys.readouterr().err == "error: prototype row 0 has a non-finite norm\n"
+    _check_prototype_failure(capsys.readouterr().err, "0.1")
+
+
+def test_train_tiny_temperature_names_the_step_and_dumps_the_batch(data_csv, capsys):
+    # the loss and its gradient stay finite at T = 1e-300, but the gradient is
+    # so large that the first prototype update overflows a row's norm
+    assert main(["train", "--data", data_csv, "--preset", "desk", "--epochs", "1",
+                 "--steps-per-epoch", "2", "--set", "train.temperature=1e-300"]) == 3
+    out, err = capsys.readouterr()
+    assert "finished" not in out
+    _check_prototype_failure(err, "1e-300")
 
 
 @pytest.mark.parametrize("flag", ["--metrics-out", "--checkpoint-out"])
@@ -563,6 +584,38 @@ def test_eval_append_to_a_missing_file_creates_nothing(trained, data_csv, tmp_pa
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert not log.exists()
+
+
+def test_eval_append_refuses_a_log_with_a_bad_row_before_printing(trained, data_csv, tmp_path,
+                                                                 capsys):
+    # the header is a metrics header; a row further down is not a metrics row
+    log = tmp_path / "log.csv"
+    lines = trained["metrics"].read_text("utf-8").split("\n")
+    lines[-4] = lines[-4].rsplit(",", 1)[0] + ",x"
+    log.write_text("\n".join(lines), "utf-8")
+    before = log.read_bytes()
+    assert main(["eval", "--checkpoint", str(trained["ckpt"]), "--data", data_csv,
+                 "--append", str(log)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {log}, line {len(lines) - 3}: "
+                   "test_acc must be a number in [0, 1], got 'x'\n")
+    assert log.read_bytes() == before
+
+
+def test_eval_append_starts_a_line_after_a_log_without_a_final_line_end(trained, data_csv,
+                                                                       tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    before = trained["metrics"].read_bytes().removesuffix(b"\n")
+    log.write_bytes(before)
+    assert main(["eval", "--checkpoint", str(trained["ckpt"]), "--data", data_csv,
+                 "--append", str(log)]) == 0
+    after = log.read_bytes()
+    assert after.startswith(before + b"\n8,2,,,") and after.endswith(b"\n")
+    _, rows = read_metrics(log)
+    assert len(rows) == 9 and rows[-1]["step"] == "8"
+    capsys.readouterr()
+    assert main(["compare", str(log), str(trained["metrics"])]) == 0
 
 
 def test_eval_append_refuses_a_dataset_csv(trained, data_csv, tmp_path, capsys):
